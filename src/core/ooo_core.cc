@@ -53,17 +53,17 @@ OooCore::stageDispatch()
         if (now < inst.fetchCycle + uint64_t(prm.frontEndDepth))
             break;
         if (rob.full()) {
-            ++st.dispatchBlockedRob;
+            countStallCycle(st.dispatchBlockedRob);
             break;
         }
         if (inst.op.isMem() && lsq.full()) {
-            ++st.dispatchBlockedLsq;
+            countStallCycle(st.dispatchBlockedLsq);
             break;
         }
         IssueQueue &iq = queueFor(inst);
         bool needs_iq = inst.op.cls != isa::OpClass::Nop;
         if (needs_iq && iq.full()) {
-            ++st.dispatchBlockedIq;
+            countStallCycle(st.dispatchBlockedIq);
             break;
         }
 

@@ -120,6 +120,7 @@ PipelineBase::beginCycle()
 {
     activity = 0;
     portsUsed = 0;
+    numStallCounters = 0;
     beginCycleQueues();
 }
 
@@ -129,6 +130,7 @@ PipelineBase::endCycle()
     lsq.retireCompleted();
     ++st.cycles;
     ++now;
+    ++ticked;
 }
 
 // ---------------------------------------------------------------------
@@ -560,47 +562,66 @@ PipelineBase::stageFetch()
 uint64_t
 PipelineBase::nextTimedWake() const
 {
+    // Called after endCycle(), so a deadline equal to now is due next
+    // tick. One already behind now means dispatch is held by a full
+    // ROB, issue queue or LSQ, which only a completion (in the wheel)
+    // or a ready instruction (which vetoes the skip) can free.
     if (!fetchBuffer.empty()) {
-        return arena.get(fetchBuffer.front()).fetchCycle +
-               uint64_t(prm.frontEndDepth);
+        uint64_t due = arena.get(fetchBuffer.front()).fetchCycle +
+                       uint64_t(prm.frontEndDepth);
+        if (due >= now)
+            return due;
     }
     return UINT64_MAX;
 }
 
 void
-PipelineBase::idleSkip()
+PipelineBase::idleSkip(uint64_t stop)
 {
     if (activity != 0 || totalReady() != 0)
         return;
 
+    const bool redirecting = fetchEngine.blocked(now);
     uint64_t wake = UINT64_MAX;
     if (!wheel.empty())
         wake = wheel.nextCycle();
-    if (fetchEngine.blocked(now))
+    if (redirecting)
         wake = std::min(wake, fetchEngine.redirectReady());
     wake = std::min(wake, nextTimedWake());
 
+    const bool fetch_ready = !fetchHold && !redirecting &&
+                             fetchBuffer.size() < prm.fetchBufferSize;
     if (wake == UINT64_MAX) {
         // Fetch can proceed next cycle (the redirect just expired).
-        if (!fetchHold && !fetchEngine.blocked(now) &&
-            fetchBuffer.size() < prm.fetchBufferSize) {
+        if (fetch_ready)
             return;
-        }
         KILO_PANIC("deadlock at cycle %lu: %zu in flight, "
                    "%zu in fetch buffer, lsq %zu",
                    (unsigned long)now, globalOrder.size(),
                    fetchBuffer.size(), lsq.size());
     }
-    if (wake > now) {
-        // Skipped cycles never reach stageCommit, so their commit
-        // slots are attributed here — same classifier, whole cycles
-        // at a time — keeping the slot-sum invariant exact under
-        // event-assisted simulation.
-        st.stallSlots[size_t(classifyStall())] +=
-            (wake - now) * uint64_t(prm.commitWidth);
-        st.cycles += wake - now;
-        now = wake;
+    // The two bug-compatible exceptions documented on idleSkip().
+    if (!fetch_ready) {
+        if (redirecting && stop + 1 == fetchEngine.redirectReady())
+            ++stop;
+        wake = std::min(wake, stop);
     }
+    if (wake <= now)
+        return;
+
+    // Skipped cycles never reach the stages, so what an idle cycle
+    // changes is charged here for all of them at once: commit slots
+    // (same classifier, keeping the slot-sum invariant exact), the
+    // per-cycle stall counters, the cycle count and the wheel's
+    // frontier.
+    const uint64_t skipped = wake - now;
+    st.stallSlots[size_t(classifyStall())] +=
+        skipped * uint64_t(prm.commitWidth);
+    for (int i = 0; i < numStallCounters; ++i)
+        *stallCounters[i] += skipped;
+    st.cycles += skipped;
+    now = wake;
+    wheel.skipTo(wake);
 }
 
 void
@@ -614,15 +635,20 @@ PipelineBase::runUntil(uint64_t target_committed, uint64_t cycle_limit)
 {
     while (st.committed < target_committed && now < cycle_limit) {
         // Test-only divergence seed for the KILOAUD audit plane:
-        // checked before tick() so the flip lands at exactly cycle
-        // dbgFlipCycle regardless of how callers slice their
-        // runUntil() calls (stepping-invariant by construction).
-        if (dbgFlipCycle && !dbgFlipDone && now >= dbgFlipCycle) {
-            fetchEngine.debugFlipHistory(dbgFlipMask);
-            dbgFlipDone = true;
+        // checked before tick(), and idle skips stop at it, so the
+        // flip lands at exactly cycle dbgFlipCycle regardless of how
+        // callers slice their runUntil() calls.
+        uint64_t stop = cycle_limit;
+        if (dbgFlipCycle && !dbgFlipDone) {
+            if (now >= dbgFlipCycle) {
+                fetchEngine.debugFlipHistory(dbgFlipMask);
+                dbgFlipDone = true;
+            } else {
+                stop = std::min(stop, dbgFlipCycle);
+            }
         }
         tick();
-        idleSkip();
+        idleSkip(stop);
         if (now - lastCommitCycle >= 4000000) {
             if (!globalOrder.empty()) {
                 const DynInst &h = arena.get(globalOrder.front());
@@ -719,6 +745,7 @@ PipelineBase::restoreState(ckpt::Source &s)
     // into a mid-cycle-abandoned core cannot leak stale handles.
     portsUsed = 0;
     activity = 0;
+    numStallCounters = 0;
     fetchHold = false;
     dueBuf.clear();
     resolvedMispredicts.clear();
@@ -731,7 +758,7 @@ PipelineBase::drain()
     fetchHold = true;
     while (!globalOrder.empty() || !fetchBuffer.empty()) {
         tick();
-        idleSkip();
+        idleSkip(UINT64_MAX);
     }
     fetchHold = false;
 }

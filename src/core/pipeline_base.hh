@@ -12,9 +12,24 @@
  *
  * The engine is event assisted: wakeup is push-based (producers wake
  * dependents), and when a cycle performs no work and no instruction
- * is ready, simulation jumps to the next completion event, redirect
- * point or subclass deadline. This keeps 400-1000 cycle memory
- * stalls cheap to simulate.
+ * is ready, simulation jumps to the next cycle at which something
+ * can happen — a completion event, the end of a fetch redirect, or a
+ * dispatch or subclass deadline still ahead. This keeps 400-1000
+ * cycle memory stalls cheap to simulate, including the ones where a
+ * full ROB, issue queue or LSQ holds dispatch.
+ *
+ * The skip reproduces ticking. After an idle cycle nothing in the
+ * machine changes until the wake cycle except the cycle count, the
+ * commit stall slots, the per-cycle stall counters the idle cycle
+ * bumped (countStallCycle()) and the event wheel's frontier, and the
+ * skip advances exactly those: every statistic and every serialized
+ * byte ends where ticking would have left it. A skip stops at
+ * runUntil()'s cycle limit and at an armed audit flip cycle, so a
+ * caller pausing there sees the ticked state. One known bug is kept
+ * for now: a redirect that expires exactly at the post-tick cycle is
+ * not a wake source, so such a skip freezes fetch until the next
+ * wake; idleSkip() documents it and the two places a stop yields to
+ * it.
  *
  * Instruction lifetime: every DynInst is allocated from the per-core
  * InstArena at fetch and recycled at commit (or at LSQ release for
@@ -67,10 +82,11 @@ class PipelineBase
     /**
      * Simulate until @p target_committed total instructions have
      * committed or the current cycle reaches @p cycle_limit,
-     * whichever comes first. The tick sequence is identical to
-     * run()'s — pausing at a cycle boundary and resuming is
-     * bit-equivalent to running straight through — which is what
-     * makes sim::Session stepping exact.
+     * whichever comes first. An idle skip stops at @p cycle_limit
+     * (bar idleSkip()'s two exceptions, which overshoot it) and
+     * leaves the ticked state there, so pausing at a cycle boundary
+     * and resuming is bit-equivalent to running straight through —
+     * which is what makes sim::Session stepping exact.
      */
     void runUntil(uint64_t target_committed, uint64_t cycle_limit);
 
@@ -97,6 +113,14 @@ class PipelineBase
 
     /** Current cycle. */
     uint64_t cycle() const { return now; }
+
+    /**
+     * Cycles this core object actually ticked; the rest of cycle()
+     * was idle-skipped. A host-side efficiency counter: not a
+     * registered statistic and not part of saveState(), so rows,
+     * schemas and digests never see it.
+     */
+    uint64_t tickedCycles() const { return ticked; }
 
     /** Configuration. */
     const CoreParams &params() const { return prm; }
@@ -208,7 +232,10 @@ class PipelineBase
     virtual size_t totalReady() const = 0;
     /** Reset per-cycle state of the subclass's queues. */
     virtual void beginCycleQueues() = 0;
-    /** Earliest subclass-specific deadline (aging timers etc.). */
+    /** Earliest deadline at which a stage waiting on the clock
+     *  proceeds: the fetch-buffer head's dispatch cycle, the
+     *  subclass's aging timers. A dispatch deadline already passed is
+     *  not one — dispatch is held by a full structure instead. */
     virtual uint64_t nextTimedWake() const;
     /** Serialize / restore the subclass's own structures (ROB, issue
      *  queues, LLIBs, checkpoint stack, ...), called after the base
@@ -248,6 +275,22 @@ class PipelineBase
         inst.inRob = false;
         if (inst.retired && !inst.inLsq)
             arena.free(inst.self);
+    }
+
+    /**
+     * Count one cycle of a per-cycle stall condition (dispatch held
+     * by a full structure, an Analyze stall, ...). An idle skip
+     * charges every skipped cycle to the counters the idle cycle
+     * before it bumped — the condition persists while nothing
+     * happens — exactly as the commit stall slots are charged.
+     */
+    void
+    countStallCycle(uint64_t &counter)
+    {
+        ++counter;
+        KILO_ASSERT(numStallCounters < MaxStallCounters,
+                    "too many stall counters in one cycle");
+        stallCounters[numStallCounters++] = &counter;
     }
 
     /** True when a global memory port is free this cycle. */
@@ -352,12 +395,34 @@ class PipelineBase
     void squashYoungerThan(uint64_t seq);
     bool tryIssueInst(InstRef ref, IssueQueue &iq, FuPool &fus);
     void issueCommon(InstRef ref, IssueQueue &iq, uint32_t latency);
-    void idleSkip();
+
+    /**
+     * After an idle cycle (no work, nothing ready), jump to the next
+     * cycle at which something can happen, but no further than
+     * @p stop. Two cases go past @p stop so that where a caller
+     * pauses never changes the tick sequence. Both come from a known
+     * bug: a fetch redirect that expires exactly at the post-tick
+     * cycle is not a wake source, so the skip freezes fetch until the
+     * next wake. Fixing it moves simulated rows, so it waits for a
+     * change that re-records perfbench/reference.
+     *   - A skip that starts with fetch ready is that freeze; it is
+     *     never cut short.
+     *   - A stop at redirectReady() - 1 would create the freeze on
+     *     resume, so the skip goes one cycle further.
+     */
+    void idleSkip(uint64_t stop);
 
     std::vector<InstRef> dueBuf;
     std::vector<InstRef> resolvedMispredicts;
     std::vector<InstRef> fetchScratch;
     uint64_t lastCommitCycle = 0;
+    uint64_t ticked = 0;
+
+    /** Stall counters bumped this cycle (countStallCycle()). @{ */
+    static constexpr int MaxStallCounters = 4;
+    uint64_t *stallCounters[MaxStallCounters] = {};
+    int numStallCounters = 0;
+    /** @} */
 
     /** Test-only audit divergence seed (setDebugFlip). Only the
      *  fired latch is serialized; see saveState(). @{ */

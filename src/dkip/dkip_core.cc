@@ -177,12 +177,12 @@ DkipCore::insertIntoLlib(InstRef ref)
     Llrf &rf = fp ? llrfFp : llrfInt;
 
     if (q.full()) {
-        ++st.llibFullStalls;
+        countStallCycle(st.llibFullStalls);
         return false;
     }
     bool needs_reg = hasReadyOperand(inst);
     if (needs_reg && !rf.tryAlloc(inst)) {
-        ++st.llrfFullStalls;
+        countStallCycle(st.llrfFullStalls);
         return false;
     }
     if (inst.op.isBranch()) {
@@ -257,7 +257,7 @@ DkipCore::stageAnalyze()
                 continue;
             }
             // Cache hit still in flight: wait for writeback.
-            ++st.analyzeStallCycles;
+            countStallCycle(st.analyzeStallCycles);
             break;
         }
 
@@ -265,7 +265,7 @@ DkipCore::stageAnalyze()
             // Non-load already executing (its sources were ready even
             // if the LLBV still flags them): short latency by
             // definition; wait for writeback.
-            ++st.analyzeStallCycles;
+            countStallCycle(st.analyzeStallCycles);
             break;
         }
 
@@ -314,7 +314,7 @@ DkipCore::stageAnalyze()
         // Short-latency but not yet executed: the paper stalls
         // Analyze until writeback so checkpoints always see READY
         // short-latency values (~0.7% IPC loss reported).
-        ++st.analyzeStallCycles;
+        countStallCycle(st.analyzeStallCycles);
         break;
     }
 }

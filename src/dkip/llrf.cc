@@ -23,15 +23,6 @@ Llrf::numSlots() const
     return n;
 }
 
-uint32_t
-Llrf::numAllocated() const
-{
-    uint32_t n = 0;
-    for (const auto &b : banks)
-        n += b.numAllocated();
-    return n;
-}
-
 bool
 Llrf::fullyAllocated() const
 {
@@ -52,6 +43,7 @@ Llrf::tryAlloc(core::DynInst &inst)
             inst.llrfSlot = int(banks[size_t(bank)].alloc());
             writtenMask |= uint64_t(1) << bank;
             rrBank = (bank + 1) % n;
+            ++allocated;
             return true;
         }
     }
@@ -64,6 +56,7 @@ Llrf::release(core::DynInst &inst)
     if (inst.llrfBank < 0)
         return;
     banks[size_t(inst.llrfBank)].release(uint32_t(inst.llrfSlot));
+    --allocated;
     inst.llrfBank = -1;
     inst.llrfSlot = -1;
 }

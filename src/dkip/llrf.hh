@@ -35,8 +35,8 @@ class Llrf
     /** Total slots. */
     uint32_t numSlots() const;
 
-    /** Slots currently allocated. */
-    uint32_t numAllocated() const;
+    /** Slots currently allocated (O(1): a running count). */
+    uint32_t numAllocated() const { return allocated; }
 
     /** True when no bank has a free slot. */
     bool fullyAllocated() const;
@@ -61,7 +61,8 @@ class Llrf
     int numBanks() const { return int(banks.size()); }
 
     /** Serialize / restore bank free lists, per-cycle write marks and
-     *  the round-robin cursor. Bank geometry is configuration. @{ */
+     *  the round-robin cursor. Bank geometry is configuration; the
+     *  allocation count is derived from the free lists on load. @{ */
     template <typename Sink>
     void
     save(Sink &s) const
@@ -76,8 +77,11 @@ class Llrf
     void
     load(Source &s)
     {
-        for (FreeList &b : banks)
+        allocated = 0;
+        for (FreeList &b : banks) {
             b.load(s);
+            allocated += b.numAllocated();
+        }
         writtenMask = s.template scalar<uint64_t>();
         rrBank = int(s.template scalar<int32_t>());
     }
@@ -87,6 +91,7 @@ class Llrf
     std::vector<FreeList> banks;
     uint64_t writtenMask = 0;
     int rrBank = 0;
+    uint32_t allocated = 0;
 };
 
 } // namespace kilo::dkip

@@ -112,7 +112,7 @@ KiloCore::moveToSliq(InstRef ref)
 {
     core::DynInst &inst = arena.get(ref);
     if (sliq.full()) {
-        ++st.llibFullStalls;
+        countStallCycle(st.llibFullStalls);
         return false;
     }
     if (inst.op.isBranch()) {
@@ -172,13 +172,13 @@ KiloCore::stageAnalyze()
                 ++activity;
                 continue;
             }
-            ++st.analyzeStallCycles;
+            countStallCycle(st.analyzeStallCycles);
             break;
         }
 
         if (head.issued) {
             // Already executing: short latency; wait for writeback.
-            ++st.analyzeStallCycles;
+            countStallCycle(st.analyzeStallCycles);
             break;
         }
 
@@ -202,7 +202,7 @@ KiloCore::stageAnalyze()
             continue;
         }
 
-        ++st.analyzeStallCycles;
+        countStallCycle(st.analyzeStallCycles);
         break;
     }
 

@@ -76,8 +76,9 @@ class Session
     /**
      * Advance the measured region by at most @p max_cycles cycles.
      * Returns the number of instructions committed by this call.
-     * (An idle skip over a long memory stall may overshoot the cycle
-     * bound by that stall; the next call simply runs shorter.)
+     * Idle skips stop at the bound, bar the two rare exceptions
+     * documented on core::PipelineBase::idleSkip(), which carry the
+     * pause a little past it; the next call simply runs shorter.
      */
     uint64_t step(uint64_t max_cycles);
 

@@ -147,6 +147,23 @@ class EventWheel
         return popped;
     }
 
+    /**
+     * Advance the frontier to @p cycle with nothing due before it:
+     * the state popDue() leaves after being called for every cycle
+     * below @p cycle. An idle skip uses it so a skipped run holds —
+     * and serializes — the same wheel as a ticked one.
+     */
+    void
+    skipTo(uint64_t cycle)
+    {
+        KILO_ASSERT(empty() || nextCycle() >= cycle,
+                    "EventWheel skip past a pending event");
+        if (cycle > popFrontier) {
+            popFrontier = cycle;
+            migrateOverflow();
+        }
+    }
+
     /** Drop all pending events (full-pipeline squash). */
     void
     clear()

@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include "src/ckpt/serial.hh"
 #include "src/core/inst_arena.hh"
 #include "src/dkip/checkpoint_stack.hh"
 #include "src/dkip/dkip_core.hh"
@@ -95,6 +96,31 @@ TEST(Llrf, FillsUpAndReleases)
     rf.release(ar[a]);
     EXPECT_EQ(rf.numAllocated(), 1u);
     EXPECT_TRUE(rf.tryAlloc(ar[c]));
+}
+
+TEST(Llrf, RestoredFileKeepsItsAllocationCount)
+{
+    Arena ar;
+    Llrf rf(4, 2);
+    auto a = ar.inst(1);
+    auto b = ar.inst(2);
+    auto c = ar.inst(3);
+    ASSERT_TRUE(rf.tryAlloc(ar[a]));
+    ASSERT_TRUE(rf.tryAlloc(ar[b]));
+    ASSERT_TRUE(rf.tryAlloc(ar[c]));
+    rf.release(ar[b]);
+    ckpt::Sink sink;
+    rf.save(sink);
+    const std::vector<uint8_t> image = sink.take();
+
+    // The count is derived on load, not serialized: a file restored
+    // into a fresh (or differently occupied) one reports the image's.
+    Llrf back(4, 2);
+    ckpt::Source src(image);
+    back.load(src);
+    EXPECT_EQ(back.numAllocated(), 2u);
+    back.release(ar[a]);
+    EXPECT_EQ(back.numAllocated(), 1u);
 }
 
 TEST(Llrf, ReleaseWithoutAllocIsNoop)

@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include "src/ckpt/serial.hh"
 #include "src/util/bit_vector.hh"
 #include "src/util/circular_buffer.hh"
 #include "src/util/event_wheel.hh"
@@ -316,6 +317,43 @@ TEST(EventWheel, NextCycleCorrectAfterPartialPopThenSchedule)
     ew.popDue(110, out);
     EXPECT_EQ(out, std::vector<int>({2}));
     EXPECT_EQ(ew.nextCycle(), 600u);
+}
+
+TEST(EventWheel, SkipToMatchesPoppingEveryCycle)
+{
+    // An idle skip calls skipTo() where a ticked run pops each cycle;
+    // both must leave the same wheel, overflow migration included,
+    // down to the serialized bytes.
+    auto build = [] {
+        EventWheel<int> ew(16);
+        ew.schedule(20, 1);
+        ew.schedule(40, 2); // beyond the horizon: overflow
+        ew.schedule(20, 3);
+        return ew;
+    };
+    auto image = [](const EventWheel<int> &ew) {
+        ckpt::Sink s;
+        ew.save(s);
+        return s.take();
+    };
+    EventWheel<int> ticked = build();
+    std::vector<int> out;
+    for (uint64_t c = 0; c < 30; ++c)
+        ticked.popDue(c, out);
+    EventWheel<int> skipped = build();
+    skipped.popDue(0, out);
+    skipped.popDue(20, out);
+    skipped.skipTo(30);
+    EXPECT_EQ(image(skipped), image(ticked));
+    EXPECT_EQ(skipped.nextCycle(), 40u);
+    // The overflow event entered the ring at the skip, so a
+    // same-cycle event scheduled now pops after it, as when ticked.
+    for (EventWheel<int> *ew : {&ticked, &skipped}) {
+        ew->schedule(40, 4);
+        out.clear();
+        ew->popDue(40, out);
+        EXPECT_EQ(out, std::vector<int>({2, 4}));
+    }
 }
 
 // ------------------------------------------------------- Histogram
