@@ -11,10 +11,13 @@
  * tests/test_checkpoint.cpp).
  *
  * The in-memory payload can be wrapped in the on-disk KILOCKPT
- * container: an 8-byte magic, a format version, the payload length
- * and an FNV-1a checksum, then the payload. readCheckpointFile
- * rejects bad magic, version mismatches, truncation and corruption
- * with CheckpointError — never with undefined behaviour.
+ * file, one use of the framed container below that KILOAUD streams
+ * (src/obs/audit.hh) share: an 8-byte magic, a format version, the
+ * payload length and an FNV-1a checksum, then the payload. The
+ * framed reader rejects bad magic, version mismatches, a length the
+ * file does not hold, corruption and trailing bytes with the
+ * caller's typed error — never with undefined behaviour or an
+ * allocation sized by an unchecked header field.
  *
  * Versioning policy: FileVersion bumps on ANY change to the payload
  * layout (there are no per-component version fields; a checkpoint is
@@ -30,6 +33,8 @@
 #include <string>
 #include <type_traits>
 #include <vector>
+
+#include "src/util/fnv.hh"
 
 namespace kilo::ckpt
 {
@@ -141,24 +146,20 @@ class Sink
     void
     fold(const void *p, size_t n)
     {
-        constexpr uint64_t prime = 1099511628211ull;
-        uint64_t h = hash_;
-        h = (h ^ uint64_t(n)) * prime;
+        uint64_t h = util::mix(hash_, uint64_t(n));
         const uint8_t *b = static_cast<const uint8_t *>(p);
         size_t i = 0;
         for (; i + 8 <= n; i += 8) {
             uint64_t w;
             std::memcpy(&w, b + i, 8);
-            h = (h ^ w) * prime;
+            h = util::mix(h, w);
         }
-        for (; i < n; ++i)
-            h = (h ^ b[i]) * prime;
-        hash_ = h;
+        hash_ = util::fnv1a(b + i, n - i, h);
     }
 
     std::vector<uint8_t> buf;
     SinkMode mode_ = SinkMode::Store;
-    uint64_t hash_ = 14695981039346656037ull; // FNV-1a offset basis
+    uint64_t hash_ = util::FnvBasis;
 };
 
 /** Bounds-checked reader over a checkpoint payload. */
@@ -229,33 +230,83 @@ class Source
     size_t off = 0;
 };
 
-/** On-disk KILOCKPT container. @{ */
+/**
+ * Framed file container, shared by every whole-file format (KILOCKPT
+ * here, KILOAUD in src/obs/audit.hh). All fields little-endian:
+ *
+ *     char[8]  magic     the format's identity
+ *     u32      version   the format's version
+ *     u64      length    payload bytes
+ *     u64      checksum  util::fnv1a(payload)
+ *     payload  length bytes
+ *
+ * readFramed checks, in order: magic, version, length against the
+ * file's actual size (before allocating anything, so a corrupt
+ * length is an error, not a huge allocation), then the checksum.
+ * Both throw @p Error, so each format keeps its own error type. @{
+ */
+
+namespace detail
+{
+/** The framed I/O proper; returns the failure reason, "" on
+ *  success. */
+std::string writeFramed(const std::string &path, const char (&magic)[8],
+                        uint32_t version,
+                        const std::vector<uint8_t> &payload);
+std::string readFramed(const std::string &path, const char (&magic)[8],
+                       uint32_t version, std::vector<uint8_t> &payload);
+} // namespace detail
+
+/** Write @p payload to @p path in the framed container. */
+template <typename Error>
+void
+writeFramed(const std::string &path, const char (&magic)[8],
+            uint32_t version, const std::vector<uint8_t> &payload)
+{
+    std::string why = detail::writeFramed(path, magic, version, payload);
+    if (!why.empty())
+        throw Error(why);
+}
+
+/** Read and validate a framed file; returns its payload. */
+template <typename Error>
+std::vector<uint8_t>
+readFramed(const std::string &path, const char (&magic)[8],
+           uint32_t version)
+{
+    std::vector<uint8_t> payload;
+    std::string why = detail::readFramed(path, magic, version, payload);
+    if (!why.empty())
+        throw Error(why);
+    return payload;
+}
+
+/** @} */
 
 /** File magic, first 8 bytes of every KILOCKPT file. */
 constexpr char FileMagic[8] = {'K', 'I', 'L', 'O', 'C', 'K', 'P', 'T'};
 
 /**
- * Container format version; bumped on any payload-layout change.
+ * KILOCKPT version; bumped on any payload-layout change.
  * v2: Session payload carries the audit cursor (nextAuditAt, rolling
  * digest) and PipelineBase appends the debug-flip latch.
  */
 constexpr uint32_t FileVersion = 2;
 
-/** FNV-1a over @p n bytes (payload integrity). */
-uint64_t fnv1a(const uint8_t *p, size_t n);
+/** Write @p payload to @p path as a KILOCKPT file. */
+inline void
+writeCheckpointFile(const std::string &path,
+                    const std::vector<uint8_t> &payload)
+{
+    writeFramed<CheckpointError>(path, FileMagic, FileVersion, payload);
+}
 
-/** Write @p payload to @p path in the KILOCKPT container. */
-void writeCheckpointFile(const std::string &path,
-                         const std::vector<uint8_t> &payload);
-
-/**
- * Read and validate a KILOCKPT file; returns the payload. Throws
- * CheckpointError on bad magic, version mismatch, truncation or a
- * checksum failure.
- */
-std::vector<uint8_t> readCheckpointFile(const std::string &path);
-
-/** @} */
+/** Read a KILOCKPT file; throws CheckpointError on any malformation. */
+inline std::vector<uint8_t>
+readCheckpointFile(const std::string &path)
+{
+    return readFramed<CheckpointError>(path, FileMagic, FileVersion);
+}
 
 /** An in-memory simulator snapshot (Session::checkpoint payload). */
 struct Checkpoint

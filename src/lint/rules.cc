@@ -11,8 +11,9 @@
  *                       bit-identity diffs
  *   stat-name-style   — the stats_schema.golden naming contract
  *                       (src/stats/DESIGN.md)
- *   raw-serialization — the versioned KILOTRC/KILOCKPT formats owned
- *                       by src/trace and src/ckpt
+ *   raw-serialization — the versioned KILOTRC format and the framed
+ *                       container (KILOCKPT, KILOAUD) owned by
+ *                       src/trace and src/ckpt
  *   header-hygiene    — include-once, no using-namespace in headers,
  *                       no std::endl
  *
@@ -307,8 +308,9 @@ class RawSerializationRule : public Rule
     RawSerializationRule()
         : Rule("raw-serialization",
                "no raw-byte file I/O (fwrite/fread) outside the "
-               "versioned-format owners: src/ckpt and src/trace "
-               "(KILOCKPT/KILOTRC) and src/obs/audit.cc (KILOAUD)",
+               "versioned-format owners: src/ckpt (the framed "
+               "container under KILOCKPT and KILOAUD) and src/trace "
+               "(KILOTRC)",
                Severity::Error)
     {}
 
@@ -318,14 +320,11 @@ class RawSerializationRule : public Rule
         // bench/ and examples/ are out of scope: only the portable
         // rules (nondeterminism, header-hygiene, stat-name-style)
         // extend there — demo code writing a scratch file is not a
-        // format-ownership violation. src/obs/audit.cc is the third
-        // format owner: it carries the KILOAUD magic/version/checksum
-        // container end to end (src/obs/audit.hh).
+        // format-ownership violation.
         return !pathInDir(f.path, "src/ckpt") &&
                !pathInDir(f.path, "src/trace") &&
                !pathInDir(f.path, "bench") &&
-               !pathInDir(f.path, "examples") &&
-               f.path.find("src/obs/audit.cc") == std::string::npos;
+               !pathInDir(f.path, "examples");
     }
 
     void

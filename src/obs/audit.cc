@@ -1,9 +1,8 @@
 #include "src/obs/audit.hh"
 
 #include <algorithm>
-#include <bit>
-#include <cstdio>
-#include <cstring>
+
+#include "src/ckpt/serial.hh"
 
 namespace kilo::obs
 {
@@ -11,159 +10,50 @@ namespace kilo::obs
 namespace
 {
 
-// Local FNV-1a for the header checksum: audit.hh owns the KILOAUD
-// format end to end, so it does not borrow ckpt::fnv1a (readers of
-// this file must never need the checkpoint layer).
-uint64_t
-fnv1a(const uint8_t *p, size_t n)
-{
-    uint64_t h = AuditBasis;
-    for (size_t i = 0; i < n; ++i)
-        h = (h ^ p[i]) * AuditPrime;
-    return h;
-}
-
-void
-putBytes(std::FILE *f, const void *data, size_t size,
-         const std::string &path)
-{
-    if (size && std::fwrite(data, 1, size, f) != size)
-        throw AuditError("audit write failed: " + path);
-}
-
-void
-getBytes(std::FILE *f, void *out, size_t size, const std::string &path)
-{
-    if (size && std::fread(out, 1, size, f) != size)
-        throw AuditError("audit stream truncated: " + path);
-}
-
-template <typename T>
-T
-peel(const uint8_t *&p)
-{
-    // Little-endian on-disk; every supported target is too, so a
-    // byte copy of the in-memory representation is the decoding.
-    static_assert(std::endian::native == std::endian::little,
-                  "KILOAUD format requires a little-endian host");
-    T v;
-    std::memcpy(&v, p, sizeof(v));
-    p += sizeof(v);
-    return v;
-}
-
-template <typename T>
-void
-pack(uint8_t *&p, T v)
-{
-    static_assert(std::endian::native == std::endian::little,
-                  "KILOAUD format requires a little-endian host");
-    std::memcpy(p, &v, sizeof(v));
-    p += sizeof(v);
-}
-
-constexpr size_t HeaderBytes = 8 + 4 + 4 + 8 + 8; // before checksum
 constexpr size_t RecordBytes = 32;
-
-/** RAII FILE handle so validation throws don't leak the stream. */
-struct FileCloser
-{
-    std::FILE *f;
-    ~FileCloser()
-    {
-        if (f)
-            std::fclose(f);
-    }
-};
+constexpr size_t FixedBytes = 8 + 8; // intervalInsts + finalRolling
 
 } // anonymous namespace
 
 void
 writeAuditFile(const std::string &path, const AuditStream &stream)
 {
-    std::FILE *f = std::fopen(path.c_str(), "wb");
-    if (!f)
-        throw AuditError("cannot create audit file: " + path);
-    FileCloser closer{f};
-
-    uint8_t header[HeaderBytes];
-    uint8_t *p = header;
-    std::memcpy(p, AuditMagic, sizeof(AuditMagic));
-    p += sizeof(AuditMagic);
-    pack(p, AuditVersion);
-    pack(p, uint32_t(0)); // reserved
-    pack(p, stream.intervalInsts);
-    pack(p, uint64_t(stream.records.size()));
-    putBytes(f, header, sizeof(header), path);
-    uint64_t checksum = fnv1a(header, sizeof(header));
-    putBytes(f, &checksum, sizeof(checksum), path);
-
+    ckpt::Sink s;
+    s.scalar(stream.intervalInsts);
     for (const AuditRecord &r : stream.records) {
-        uint8_t rec[RecordBytes];
-        uint8_t *q = rec;
-        pack(q, r.insts);
-        pack(q, r.cycle);
-        pack(q, r.state);
-        pack(q, r.rolling);
-        putBytes(f, rec, sizeof(rec), path);
+        s.scalar(r.insts);
+        s.scalar(r.cycle);
+        s.scalar(r.state);
+        s.scalar(r.rolling);
     }
-
-    uint64_t final_rolling = stream.finalRolling();
-    putBytes(f, &final_rolling, sizeof(final_rolling), path);
-
-    closer.f = nullptr;
-    if (std::fclose(f) != 0)
-        throw AuditError("audit close failed: " + path);
+    s.scalar(stream.finalRolling());
+    ckpt::writeFramed<AuditError>(path, AuditMagic, AuditVersion,
+                                  s.data());
 }
 
 AuditStream
 readAuditFile(const std::string &path)
 {
-    std::FILE *f = std::fopen(path.c_str(), "rb");
-    if (!f)
-        throw AuditError("cannot open audit file: " + path);
-    FileCloser closer{f};
+    std::vector<uint8_t> payload =
+        ckpt::readFramed<AuditError>(path, AuditMagic, AuditVersion);
+    if (payload.size() < FixedBytes ||
+        (payload.size() - FixedBytes) % RecordBytes != 0)
+        throw AuditError("KILOAUD payload is not whole records: " +
+                         path);
 
-    uint8_t header[HeaderBytes];
-    getBytes(f, header, sizeof(header), path);
-    const uint8_t *p = header;
-    if (std::memcmp(p, AuditMagic, sizeof(AuditMagic)) != 0)
-        throw AuditError("not a KILOAUD file (bad magic): " + path);
-    p += sizeof(AuditMagic);
-    uint32_t version = peel<uint32_t>(p);
-    if (version != AuditVersion) {
-        throw AuditError("KILOAUD version mismatch in " + path +
-                         ": file has v" + std::to_string(version) +
-                         ", reader expects v" +
-                         std::to_string(AuditVersion) +
-                         " (streams are never migrated)");
-    }
-    peel<uint32_t>(p); // reserved
+    // The size check above makes every read below in bounds.
+    ckpt::Source in(payload);
     AuditStream stream;
-    stream.intervalInsts = peel<uint64_t>(p);
-    uint64_t count = peel<uint64_t>(p);
-
-    uint64_t checksum;
-    getBytes(f, &checksum, sizeof(checksum), path);
-    if (checksum != fnv1a(header, sizeof(header)))
-        throw AuditError("KILOAUD header checksum mismatch: " + path);
-
-    // Guard the reserve below against a fabricated record count:
-    // anything past ~2^40 records cannot be a real stream.
-    if (count > (uint64_t(1) << 40))
-        throw AuditError("KILOAUD record count implausible: " + path);
-
+    stream.intervalInsts = in.scalar<uint64_t>();
+    size_t count = (payload.size() - FixedBytes) / RecordBytes;
     uint64_t rolling = AuditBasis;
-    stream.records.reserve(size_t(count));
-    for (uint64_t i = 0; i < count; ++i) {
-        uint8_t rec[RecordBytes];
-        getBytes(f, rec, sizeof(rec), path);
-        const uint8_t *q = rec;
+    stream.records.reserve(count);
+    for (size_t i = 0; i < count; ++i) {
         AuditRecord r;
-        r.insts = peel<uint64_t>(q);
-        r.cycle = peel<uint64_t>(q);
-        r.state = peel<uint64_t>(q);
-        r.rolling = peel<uint64_t>(q);
+        r.insts = in.scalar<uint64_t>();
+        r.cycle = in.scalar<uint64_t>();
+        r.state = in.scalar<uint64_t>();
+        r.rolling = in.scalar<uint64_t>();
         rolling = auditMix(rolling, r.insts, r.cycle, r.state);
         if (r.rolling != rolling) {
             throw AuditError(
@@ -173,13 +63,8 @@ readAuditFile(const std::string &path)
         stream.records.push_back(r);
     }
 
-    uint64_t final_rolling;
-    getBytes(f, &final_rolling, sizeof(final_rolling), path);
-    if (final_rolling != stream.finalRolling())
+    if (in.scalar<uint64_t>() != stream.finalRolling())
         throw AuditError("KILOAUD trailing digest mismatch: " + path);
-    if (std::fgetc(f) != EOF)
-        throw AuditError("KILOAUD trailing garbage after stream: " +
-                         path);
     return stream;
 }
 

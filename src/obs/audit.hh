@@ -13,28 +13,28 @@
  * the first divergent interval, and tools/kilodiff bisects inside it
  * (src/obs_audit/bisect.hh) to the first divergent cycle.
  *
- * This header is self-contained on purpose: the stream format owns
- * its own FNV constants and file IO so that readers (tools, the
- * shard orchestrator) never need the simulator proper. The digest
+ * The stream is a payload in the framed container of
+ * src/ckpt/serial.hh (magic, version, length, FNV-1a checksum), and
+ * every digest here is built from the one FNV in src/util/fnv.hh.
+ * Readers (tools, the shard orchestrator) therefore need only the
+ * ckpt leaf module, never the simulator proper; the digest
  * *producer* lives in src/sim/session.cc.
  *
- * On-disk container (all fields little-endian, mirroring the
- * KILOTRC conventions in src/trace/trace_format.hh):
+ *     char[8]  magic          "KILOAUD1"
+ *     u32      version        AuditVersion (bumped on any layout or
+ *                             digest-composition change; old streams
+ *                             are rejected, never migrated)
+ *     u64      length         payload bytes = 16 + 32 × records
+ *     u64      checksum       FNV-1a over the payload
+ *     payload:
+ *       u64      intervalInsts  cadence the stream was recorded at
+ *       records  N × 32-byte AuditRecord
+ *       u64      finalRolling   rolling digest after the last record
  *
- *     char[8]  magic      "KILOAUD1"
- *     u32      version    AuditVersion (bumped on any layout or
- *                         digest-composition change; old streams are
- *                         rejected, never migrated)
- *     u32      reserved   0
- *     u64      intervalInsts   cadence the stream was recorded at
- *     u64      recordCount
- *     u64      headerChecksum  FNV-1a over the 32 bytes above
- *     records  recordCount × 32-byte AuditRecord
- *     u64      finalRolling    rolling digest after the last record
- *
- * Each AuditRecord chains into a rolling digest via auditMix(), so a
- * reader can detect both corruption (the chain breaks) and
- * truncation (finalRolling disagrees) without trusting the header.
+ * Each AuditRecord chains into a rolling digest via auditMix(), so
+ * on top of the payload checksum a reader re-derives the whole chain
+ * and the trailing finalRolling: a forged stream with a recomputed
+ * checksum still fails unless its chain is consistent.
  */
 
 #pragma once
@@ -43,6 +43,8 @@
 #include <stdexcept>
 #include <string>
 #include <vector>
+
+#include "src/util/fnv.hh"
 
 namespace kilo::obs
 {
@@ -57,14 +59,14 @@ class AuditError : public std::runtime_error
 /** File magic, first 8 bytes of every KILOAUD file. */
 constexpr char AuditMagic[8] = {'K', 'I', 'L', 'O', 'A', 'U', 'D', '1'};
 
-/** Stream format version; bumped on any layout or digest change. */
-constexpr uint32_t AuditVersion = 1;
+/**
+ * Stream format version; bumped on any layout or digest change.
+ * v2: the stream is a framed-container payload (src/ckpt/serial.hh).
+ */
+constexpr uint32_t AuditVersion = 2;
 
 /** FNV-1a offset basis — the seed of every audit digest chain. */
-constexpr uint64_t AuditBasis = 14695981039346656037ull;
-
-/** FNV prime used by every audit fold. */
-constexpr uint64_t AuditPrime = 1099511628211ull;
+constexpr uint64_t AuditBasis = util::FnvBasis;
 
 /** One interval-boundary observation; exactly 32 bytes on disk. */
 struct AuditRecord
@@ -80,10 +82,9 @@ constexpr uint64_t
 auditMix(uint64_t rolling, uint64_t insts, uint64_t cycle,
          uint64_t state)
 {
-    rolling = (rolling ^ insts) * AuditPrime;
-    rolling = (rolling ^ cycle) * AuditPrime;
-    rolling = (rolling ^ state) * AuditPrime;
-    return rolling;
+    rolling = util::mix(rolling, insts);
+    rolling = util::mix(rolling, cycle);
+    return util::mix(rolling, state);
 }
 
 /** A parsed (or under-construction) KILOAUD stream. */
@@ -105,9 +106,10 @@ void writeAuditFile(const std::string &path,
                     const AuditStream &stream);
 
 /**
- * Read and validate a KILOAUD file. Validates magic, version, header
- * checksum, record count against file size, the per-record rolling
- * chain (recomputed from AuditBasis) and the trailing finalRolling.
+ * Read and validate a KILOAUD file. Validates the container (magic,
+ * version, length against file size, payload checksum), the payload
+ * length against whole records, the per-record rolling chain
+ * (recomputed from AuditBasis) and the trailing finalRolling.
  * Throws AuditError on any malformation.
  */
 AuditStream readAuditFile(const std::string &path);

@@ -348,19 +348,6 @@ Session::finish()
     res.audit = std::move(audit_);
     audit_.clear();
     res.auditRolling = auditRolling_;
-
-    // Deprecated flat fields (see the MIGRATION note in README.md).
-    const mem::MemoryHierarchy &m = core_->memory();
-    res.memAccesses = m.accesses();
-    res.l2Misses = m.l2Misses();
-    res.l2MissRatio = m.l2MissRatio();
-    res.memFills = m.memFills();
-    res.mshrMerges = m.mshrMerges();
-    res.mshrPeak = m.mshrPeakOccupancy();
-    const Histogram &set_occ = m.mshrSetOccupancy();
-    res.mshrSetP50 = uint32_t(set_occ.percentile(0.50));
-    res.mshrSetP99 = uint32_t(set_occ.percentile(0.99));
-    res.mshrSetMax = uint32_t(set_occ.maxSample());
     return res;
 }
 

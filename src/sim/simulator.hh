@@ -147,12 +147,11 @@ struct RunConfig
 /**
  * Outcome of one run.
  *
- * The authoritative payload is `snapshot` — the self-describing
+ * The only source of truth is `snapshot` — the self-describing
  * stats::Registry snapshot every component contributed to; JSONL rows
- * are generated from it generically. The flat convenience fields
- * below (ipc, memAccesses, ...) are populated for source
- * compatibility but deprecated for new code; see the MIGRATION note
- * in README.md.
+ * are generated from it generically. `ipc` and the CoreStats copy in
+ * `stats` remain as cheap access paths for core counters; see the
+ * MIGRATION note in README.md.
  */
 struct RunResult
 {
@@ -180,22 +179,6 @@ struct RunResult
      *  worker ships back instead of the whole stream. */
     uint64_t auditRolling = obs::AuditBasis;
 
-    /** Deprecated flat memory-side fields (use snapshot). @{ */
-    uint64_t memAccesses = 0;
-    uint64_t l2Misses = 0;
-    double l2MissRatio = 0.0;
-    uint64_t memFills = 0;    ///< off-chip line fills started
-    uint64_t mshrMerges = 0;  ///< accesses merged into in-flight fills
-    uint32_t mshrPeak = 0;    ///< peak MSHR occupancy (measured region)
-
-    /** Per-set MSHR occupancy at fill allocation (MLP clustering):
-     *  median, 99th percentile and maximum of the live ways in the
-     *  allocating set. @{ */
-    uint32_t mshrSetP50 = 0;
-    uint32_t mshrSetP99 = 0;
-    uint32_t mshrSetMax = 0;
-    /** @} */
-    /** @} */
 };
 
 /**

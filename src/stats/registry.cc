@@ -2,6 +2,7 @@
 
 #include <cstring>
 
+#include "src/util/fnv.hh"
 #include "src/util/logging.hh"
 
 namespace kilo::stats
@@ -144,7 +145,6 @@ Registry::snapshot() const
 uint64_t
 Registry::foldValues(uint64_t h) const
 {
-    constexpr uint64_t prime = 1099511628211ull;
     for (const auto &def : defs_) {
         Value v = read(def);
         uint64_t bits;
@@ -154,7 +154,7 @@ Registry::foldValues(uint64_t h) const
         } else {
             bits = v.u;
         }
-        h = (h ^ bits) * prime;
+        h = util::mix(h, bits);
     }
     return h;
 }

@@ -111,7 +111,7 @@ class Registry
     Snapshot snapshot() const;
 
     /**
-     * Fold every current value into @p h (FNV-style multiply-mix, in
+     * Fold every current value into @p h (one util::mix step each, in
      * registration order) and return the result. Allocation-free —
      * the audit plane calls this at interval boundaries, so it must
      * never perturb the run it is hashing. Real-valued gauges

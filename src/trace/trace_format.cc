@@ -3,6 +3,8 @@
 #include <bit>
 #include <cstring>
 
+#include "src/util/fnv.hh"
+
 namespace kilo::trace
 {
 
@@ -56,18 +58,21 @@ blockChecksum(const uint8_t *data, size_t size)
 {
     // Word-at-a-time xor-rotate-multiply mix (FNV constants). A
     // byte-serial FNV would put a dependent multiply on every payload
-    // byte, costing more than the record decode itself.
-    uint64_t h = 0xcbf29ce484222325ull ^ size;
+    // byte, costing more than the record decode itself. The rotate is
+    // not decoration: without it (plain util::mix) a flip in bit 63
+    // of a word only ever reaches bit 63 of the state, so two such
+    // flips cancel. KILOTRC files depend on this exact algorithm.
+    uint64_t h = util::FnvBasis ^ size;
     size_t i = 0;
     for (; i + 8 <= size; i += 8) {
         uint64_t w;
         std::memcpy(&w, data + i, 8);
-        h = (std::rotl(h, 5) ^ w) * 0x00000100000001b3ull;
+        h = (std::rotl(h, 5) ^ w) * util::FnvPrime;
     }
     if (i < size) {
         uint64_t tail = 0;
         std::memcpy(&tail, data + i, size - i);
-        h = (std::rotl(h, 5) ^ tail) * 0x00000100000001b3ull;
+        h = (std::rotl(h, 5) ^ tail) * util::FnvPrime;
     }
     return uint32_t(h ^ (h >> 32));
 }

@@ -16,6 +16,7 @@
 #include <fstream>
 #include <vector>
 
+#include "src/ckpt/serial.hh"
 #include "src/obs/audit.hh"
 #include "src/obs_audit/bisect.hh"
 #include "src/sim/session.hh"
@@ -155,19 +156,23 @@ TEST(AuditFile, RejectsEveryMalformation)
     flipByte(path, 8);
     EXPECT_THROW(obs::readAuditFile(path), obs::AuditError);
 
-    rewrite(); // header field vs header checksum
+    rewrite(); // length field vs file size
     flipByte(path, 16);
     EXPECT_THROW(obs::readAuditFile(path), obs::AuditError);
 
-    rewrite(); // corrupt record payload breaks the rolling chain
+    rewrite(); // high byte of the length: rejected, not allocated
+    flipByte(path, 19);
+    EXPECT_THROW(obs::readAuditFile(path), obs::AuditError);
+
+    rewrite(); // corrupt record fails the payload checksum
     flipByte(path, 40 + 32);
     EXPECT_THROW(obs::readAuditFile(path), obs::AuditError);
 
-    rewrite(); // corrupt trailer disagrees with the chain
+    rewrite(); // corrupt trailer fails the payload checksum
     flipByte(path, -1);
     EXPECT_THROW(obs::readAuditFile(path), obs::AuditError);
 
-    rewrite(); // truncated mid-record
+    rewrite(); // truncated mid-record: length vs file size
     {
         std::ifstream in(path, std::ios::binary);
         std::vector<char> bytes(
@@ -181,6 +186,65 @@ TEST(AuditFile, RejectsEveryMalformation)
 
     EXPECT_THROW(obs::readAuditFile(audPath("missing")),
                  obs::AuditError);
+    std::remove(path.c_str());
+}
+
+TEST(AuditFile, ChainIsCheckedBehindAValidChecksum)
+{
+    // The container checksum is recomputed on every write, so these
+    // streams pass it; only the audit reader's own checks reject them.
+    std::string path = audPath("forged");
+    obs::AuditStream s = syntheticStream(4);
+    s.records[2].state ^= 1; // chain no longer matches the record
+    obs::writeAuditFile(path, s);
+    EXPECT_THROW(obs::readAuditFile(path), obs::AuditError);
+
+    auto write_payload = [&](const ckpt::Sink &payload) {
+        ckpt::writeFramed<obs::AuditError>(path, obs::AuditMagic,
+                                           obs::AuditVersion,
+                                           payload.data());
+    };
+    ckpt::Sink bad_trailer;
+    bad_trailer.scalar(uint64_t(1000));
+    bad_trailer.scalar(obs::AuditBasis ^ 1); // finalRolling, 0 records
+    write_payload(bad_trailer);
+    EXPECT_THROW(obs::readAuditFile(path), obs::AuditError);
+
+    ckpt::Sink partial_record = bad_trailer;
+    partial_record.scalar(uint8_t(0)); // 17 bytes: not whole records
+    write_payload(partial_record);
+    EXPECT_THROW(obs::readAuditFile(path), obs::AuditError);
+    std::remove(path.c_str());
+}
+
+TEST(AuditFile, Version1StreamsAreRejected)
+{
+    // The v1 layout: magic, u32 version 1, u32 reserved, u64
+    // intervalInsts, u64 recordCount, u64 FNV-1a of those 32 bytes,
+    // records, u64 finalRolling.
+    obs::AuditStream s = syntheticStream(2);
+    ckpt::Sink v1;
+    v1.bytes(obs::AuditMagic, sizeof(obs::AuditMagic));
+    v1.scalar(uint32_t(1));
+    v1.scalar(uint32_t(0));
+    v1.scalar(s.intervalInsts);
+    v1.scalar(uint64_t(s.records.size()));
+    v1.scalar(util::fnv1a(v1.data().data(), v1.size()));
+    for (const obs::AuditRecord &r : s.records) {
+        v1.scalar(r.insts);
+        v1.scalar(r.cycle);
+        v1.scalar(r.state);
+        v1.scalar(r.rolling);
+    }
+    v1.scalar(s.finalRolling());
+
+    std::string path = audPath("v1");
+    {
+        std::ofstream out(path, std::ios::binary | std::ios::trunc);
+        out.write(reinterpret_cast<const char *>(v1.data().data()),
+                  long(v1.size()));
+    }
+    EXPECT_THROW(obs::readAuditFile(path), obs::AuditError);
     std::remove(path.c_str());
 }
 

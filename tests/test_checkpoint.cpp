@@ -13,6 +13,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <cstring>
 #include <fstream>
 #include <vector>
 
@@ -223,7 +224,8 @@ TEST(Checkpoint, FileRoundTripBitIdentical)
 }
 
 /** Every KILOCKPT malformation raises CheckpointError: wrong magic,
- *  future version, truncation, payload corruption. */
+ *  future version, truncation, payload corruption, a corrupt length
+ *  field and trailing bytes. */
 TEST(Checkpoint, MalformedFilesRejected)
 {
     RunConfig rc = shortRun();
@@ -283,6 +285,34 @@ TEST(Checkpoint, MalformedFilesRejected)
         v[v.size() / 2] = char(~v[v.size() / 2]);
         write_variant(v);
         expect_rejected("checksum mismatch");
+    }
+    // A corrupt length field (the u64 at bytes 12..19) is a typed
+    // error, rejected against the file size before any allocation:
+    // first its high byte, then a length one past / one short of
+    // the payload, then a trailing byte the length does not cover.
+    {
+        std::vector<char> v = bytes;
+        v[19] = char(v[19] ^ 0x80);
+        write_variant(v);
+        expect_rejected("length high byte");
+    }
+    auto with_length = [&](int64_t delta) {
+        std::vector<char> v = bytes;
+        uint64_t len;
+        std::memcpy(&len, v.data() + 12, sizeof(len));
+        len += uint64_t(delta);
+        std::memcpy(v.data() + 12, &len, sizeof(len));
+        return v;
+    };
+    write_variant(with_length(+1));
+    expect_rejected("length past end of file");
+    write_variant(with_length(-1));
+    expect_rejected("length short of file");
+    {
+        std::vector<char> v = bytes;
+        v.push_back(0);
+        write_variant(v);
+        expect_rejected("trailing byte");
     }
 
     std::remove(path.c_str());

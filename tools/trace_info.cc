@@ -22,23 +22,12 @@
 #include <vector>
 
 #include "src/trace/trace_reader.hh"
+#include "src/util/fnv.hh"
 
 using namespace kilo;
 
 namespace
 {
-
-/** FNV-1a over a block payload (the digest --verify prints). */
-uint64_t
-fnv1a(const uint8_t *p, size_t n)
-{
-    uint64_t h = 14695981039346656037ull;
-    for (size_t i = 0; i < n; ++i) {
-        h ^= p[i];
-        h *= 1099511628211ull;
-    }
-    return h;
-}
 
 /**
  * Walk every block through the validating no-copy path and print
@@ -72,8 +61,8 @@ verifyTrace(const char *path)
             break; // clean end-of-file
         std::printf("%-8llu %10u %12zu  %016llx\n",
                     (unsigned long long)blocks, ops, payload_bytes,
-                    (unsigned long long)fnv1a(payload,
-                                              payload_bytes));
+                    (unsigned long long)util::fnv1a(payload,
+                                                    payload_bytes));
         ++blocks;
         total_ops += ops;
     }
