@@ -21,6 +21,7 @@
 #include "src/dkip/llib.hh"
 #include "src/dkip/llrf.hh"
 #include "src/mem/hierarchy.hh"
+#include "src/mem/mshr.hh"
 #include "src/pred/perceptron.hh"
 #include "src/sim/simulator.hh"
 #include "src/sim/sweep.hh"
@@ -84,6 +85,28 @@ BM_MemHierarchyStream(benchmark::State &state)
     state.SetItemsProcessed(int64_t(state.iterations()));
 }
 BENCHMARK(BM_MemHierarchyStream);
+
+/** The MSHR traffic idle-skip produces: a burst of 16 misses (lookup,
+ *  then a 400-cycle fill) a cycle apart, then a 400-cycle jump, so
+ *  every burst starts past the sweep deadline of a 4096-entry file.
+ *  A sweep that scans the whole file pays O(capacity) per burst;
+ *  the expiry queue pays only for the fills that landed. */
+void
+BM_MshrFileMissStream(benchmark::State &state)
+{
+    mem::MshrFile mshrs(4096, 400);
+    uint64_t line = 0;
+    uint64_t now = 0;
+    for (auto _ : state) {
+        if (mshrs.lookup(line, now) == 0)
+            mshrs.allocate(line, now + 400, now);
+        ++line;
+        now += line % 16 == 0 ? 400 : 1;
+    }
+    benchmark::DoNotOptimize(mshrs.occupancy());
+    state.SetItemsProcessed(int64_t(state.iterations()));
+}
+BENCHMARK(BM_MshrFileMissStream);
 
 void
 BM_PerceptronLookup(benchmark::State &state)

@@ -161,21 +161,6 @@ struct DynInst
     int8_t llrfBank = -1;
     int16_t llrfSlot = -1;
     /** @} */
-
-    /**
-     * Reinitialise every hot field for a fresh allocation, preserving
-     * the slot generation. Assigning from a value-initialised
-     * instance covers fields added later without a hand-maintained
-     * list (stale state from the previous tenant would otherwise leak
-     * silently). @pre the dependent chain was released to the pool.
-     */
-    void
-    reset()
-    {
-        uint32_t keep_gen = gen;
-        *this = DynInst();
-        gen = keep_gen;
-    }
 };
 
 static_assert(sizeof(DynInst) <= 64,
@@ -183,9 +168,10 @@ static_assert(sizeof(DynInst) <= 64,
               "new field to DynInstCold unless a per-cycle loop needs "
               "it");
 static_assert(std::is_trivially_copyable_v<DynInst>,
-              "DynInst must stay trivially copyable (arena slots are "
-              "bulk-assigned; the checkpoint layer serializes them "
-              "field by field — see inst_arena.cc saveSlot)");
+              "DynInst must stay trivially copyable (InstArena::alloc "
+              "constructs over the previous tenant without destroying "
+              "it; the checkpoint layer serializes slots field by "
+              "field — see inst_arena.cc saveSlot)");
 
 /**
  * Cold per-instruction state: written once or twice and read a
@@ -242,9 +228,10 @@ struct DynInstCold
 };
 
 static_assert(std::is_trivially_copyable_v<DynInstCold>,
-              "DynInstCold must stay trivially copyable (arena slots "
-              "are bulk-assigned; the checkpoint layer serializes "
-              "them field by field — see inst_arena.cc saveSlot)");
+              "DynInstCold must stay trivially copyable "
+              "(InstArena::alloc constructs over the previous tenant "
+              "without destroying it; the checkpoint layer serializes "
+              "slots field by field — see inst_arena.cc saveSlot)");
 
 } // namespace kilo::core
 

@@ -55,11 +55,19 @@ InstArena::alloc()
     if (!slots.hasFree())
         addSlab();
     uint32_t idx = slots.alloc();
-    DynInst &inst = slotAt(idx);
-    KILO_ASSERT(inst.depHead == DynInst::NoDep,
+    KILO_ASSERT(slotAt(idx).depHead == DynInst::NoDep,
                 "recycled slot still holds a dependent chain");
-    inst.reset();
-    coldAt(idx) = DynInstCold();
+    // Value-initialise both halves directly in the slot, so every
+    // field (including ones added later) starts from its default
+    // without a hand-maintained reset list. Constructing in place
+    // writes the slot once; assigning from a `DynInst()` temporary
+    // used to build the record on the stack and copy it over, which
+    // cost twice the stores plus store-forwarding stalls on the
+    // copy's reloads. Only the generation carries over.
+    uint32_t gen = slotAt(idx).gen;
+    DynInst &inst = *std::construct_at(&slotAt(idx));
+    std::construct_at(&coldAt(idx));
+    inst.gen = gen;
     inst.self = InstRef::make(idx, inst.gen & InstRef::GenMask);
     KILO_ASSERT(inst.self.valid(),
                 "live handle collided with the null sentinel");
@@ -69,11 +77,11 @@ InstArena::alloc()
 
 // Slots are serialized field by field, never as raw slab bytes:
 // DynInst (bitfields) and DynInstCold (tail padding) both carry
-// indeterminate padding, and DynInst::reset()'s whole-struct assign
-// copies a stack temporary's padding into the slab — raw bytes would
-// make checkpoint payloads (and therefore KILOAUD state digests)
-// vary run to run under ASLR. The exact-size asserts force this list
-// to be revisited whenever either struct grows a field.
+// padding whose bytes the language leaves unspecified, so raw bytes
+// could make checkpoint payloads (and therefore KILOAUD state
+// digests) depend on the compiler's store pattern. The exact-size
+// asserts force this list to be revisited whenever either struct
+// grows a field.
 static_assert(sizeof(DynInst) == 64 && sizeof(DynInstCold) == 88,
               "DynInst/DynInstCold layout changed: update "
               "saveSlot()/loadSlot() to cover the new fields");

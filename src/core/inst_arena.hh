@@ -61,9 +61,10 @@ class InstArena
     InstArena &operator=(const InstArena &) = delete;
 
     /**
-     * Allocate a slot and reset its instruction (hot and cold halves)
-     * to the fetched-fresh state. Grows by one slab when the pool is
-     * exhausted.
+     * Allocate a slot and construct its instruction (hot and cold
+     * halves) in place in the value-initialised, fetched-fresh
+     * state; only the slot generation survives from the previous
+     * tenant. Grows by one slab when the pool is exhausted.
      */
     InstRef alloc();
 

@@ -128,7 +128,10 @@ MemConfig::names()
 MemoryHierarchy::MemoryHierarchy(const MemConfig &config)
     : cfg(config),
       // Sweeping once per fill latency keeps lazy expiry exact to
-      // within one fill lifetime at negligible amortised cost.
+      // within one fill lifetime. Idle-skip makes nearly every access
+      // after a skip a sweep, so the sweep walks only the expired
+      // fills (MshrFile's expiry queue); a scan of all entries
+      // measured ~10% of host time on memory-bound runs.
       mshrs(cfg.numMshrs, cfg.memLatency)
 {
     if (!cfg.perfectL1) {

@@ -1,5 +1,6 @@
 #include "src/mem/mshr.hh"
 
+#include <algorithm>
 #include <bit>
 
 #include "src/util/logging.hh"
@@ -18,6 +19,7 @@ MshrFile::MshrFile(uint32_t capacity, uint64_t sweep_period)
     uint32_t sets = std::bit_ceil((capacity + numWays - 1) / numWays);
     setMask = sets - 1;
     entries.resize(size_t(sets) * numWays);
+    expiry.reserve(entries.size());
 }
 
 MshrFile::Entry *
@@ -27,13 +29,65 @@ MshrFile::setOf(uint64_t line)
 }
 
 void
+MshrFile::pushExpiry(uint64_t fill_done, uint32_t way)
+{
+    // Out of room: drop the consumed prefix and the stale records.
+    // The caller has already emptied the way being filled, so at
+    // most capacity - 1 live records remain and the push fits the
+    // construction-time reserve.
+    if (expiry.size() == entries.size())
+        rebuildExpiry();
+    expiry.push_back({fill_done, way});
+    // Keep the queue sorted. Fills are allocated one memory latency
+    // after a (nearly) monotone clock, so they arrive in completion
+    // order and this walk almost never moves a record; any other
+    // latency pattern only costs the walk, never exactness.
+    for (size_t i = expiry.size() - 1;
+         i > expiryHead && expiry[i - 1].fillDone > fill_done; --i)
+        std::swap(expiry[i - 1], expiry[i]);
+}
+
+void
+MshrFile::rebuildExpiry()
+{
+    expiry.clear();
+    expiryHead = 0;
+    for (uint32_t i = 0; i < entries.size(); ++i) {
+        if (entries[i].fillDone != 0)
+            expiry.push_back({entries[i].fillDone, i});
+    }
+    std::sort(expiry.begin(), expiry.end(),
+              [](const Expiry &a, const Expiry &b) {
+                  return a.fillDone < b.fillDone;
+              });
+}
+
+void
 MshrFile::sweepIfDue(uint64_t now)
 {
     if (now < nextSweep)
         return;
-    for (Entry &e : entries) {
-        if (e.fillDone != 0 && e.fillDone <= now)
+    // Frees exactly {e : 0 < e.fillDone <= now}, like a full scan.
+    // Each allocation queues its own record, and a record is consumed
+    // only here, once its fillDone <= now, freeing its way if the way
+    // still holds that fill. So every live way has an unconsumed
+    // record, and every way freed here is one a full scan frees. A
+    // record whose way holds another fill (or none) is stale: the way
+    // was reclaimed lazily or displaced, and its new tenant has a
+    // record of its own.
+    for (; expiryHead < expiry.size() &&
+           expiry[expiryHead].fillDone <= now;
+         ++expiryHead) {
+        Entry &e = entries[expiry[expiryHead].way];
+        if (e.fillDone == expiry[expiryHead].fillDone)
             freeWay(e);
+    }
+    // Drop the consumed prefix once it outweighs the rest (amortised
+    // O(1) per record), so the queue's footprint follows the fills in
+    // flight rather than the capacity.
+    if (2 * size_t(expiryHead) >= expiry.size()) {
+        expiry.erase(expiry.begin(), expiry.begin() + expiryHead);
+        expiryHead = 0;
     }
     nextSweep = now + sweepPeriod;
 }
@@ -112,6 +166,7 @@ MshrFile::allocate(uint64_t line, uint64_t fill_done, uint64_t now)
         victim = soonest;
         --set_live;
     }
+    pushExpiry(fill_done, uint32_t(victim - entries.data()));
     victim->line = line;
     victim->fillDone = fill_done;
     ++liveCount;

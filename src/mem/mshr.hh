@@ -12,9 +12,15 @@
  *  - lookup is O(ways) over a power-of-two set — no hashing, no
  *    growth, no heap traffic after construction;
  *  - expiry is lazy: a probed set reclaims its own expired ways, and
- *    a compact full scan keyed off `now` (one sweep per fill
- *    latency) reclaims entries in sets that are never revisited, so
- *    steady-state occupancy is exact and bounded;
+ *    a periodic sweep keyed off `now` (one per fill latency)
+ *    reclaims entries in sets that are never revisited, so
+ *    steady-state occupancy is exact and bounded. The sweep does not
+ *    scan the array: allocate() queues a (fillDone, way) record in a
+ *    queue kept sorted by fillDone, and the sweep consumes the
+ *    records that are due. It frees exactly the ways a full scan
+ *    would (argument in sweepIfDue) at O(expired) instead of
+ *    O(capacity), which matters because idle-skip jumps whole fill
+ *    latencies and makes nearly every access after a skip a sweep;
  *  - when a set is full of live fills the soonest-completing way is
  *    displaced (it loses only its merge window, never its timing) and
  *    the displacement is counted, so a capacity too small for a
@@ -105,7 +111,8 @@ class MshrFile
     }
 
     /** Serialize / restore in-flight fills and statistics. Capacity
-     *  and sweep period are configuration. @{ */
+     *  and sweep period are configuration; the expiry queue is derived
+     *  from the entries, so it is rebuilt on load, never saved. @{ */
     template <typename Sink>
     void
     save(Sink &s) const
@@ -131,6 +138,7 @@ class MshrFile
         peak = s.template scalar<uint32_t>();
         nDisplaced = s.template scalar<uint64_t>();
         nextSweep = s.template scalar<uint64_t>();
+        rebuildExpiry();
     }
     /** @} */
 
@@ -142,8 +150,18 @@ class MshrFile
         uint64_t fillDone = 0;
     };
 
+    /** Expiry record: a fill's completion cycle and its way. It is
+     *  stale once the way no longer holds that fillDone. */
+    struct Expiry
+    {
+        uint64_t fillDone;
+        uint32_t way;
+    };
+
     Entry *setOf(uint64_t line);
     void sweepIfDue(uint64_t now);
+    void pushExpiry(uint64_t fill_done, uint32_t way);
+    void rebuildExpiry();
 
     void
     freeWay(Entry &e)
@@ -153,6 +171,12 @@ class MshrFile
     }
 
     std::vector<Entry> entries;  ///< sets x numWays, sized once
+    /** Expiry queue: records from expiryHead on are sorted by
+     *  fillDone, one per allocation, covering every live way plus
+     *  stale ones. Rebuilt from the live ways when it reaches the
+     *  capacity (reserved once), so it never reallocates. */
+    std::vector<Expiry> expiry;
+    uint32_t expiryHead = 0;     ///< first unconsumed record
     Histogram setOccHist{1, Ways + 1};  ///< per-set live-way samples
     uint32_t numWays;            ///< min(capacity, Ways)
     uint32_t setMask;            ///< numSets - 1 (power of two)

@@ -15,6 +15,7 @@
 #include "src/core/inst_arena.hh"
 #include "src/core/ooo_core.hh"
 #include "src/dkip/dkip_core.hh"
+#include "src/mem/mshr.hh"
 #include "src/sim/simulator.hh"
 #include "test_helpers.hh"
 
@@ -165,6 +166,109 @@ TEST(InstArena, GrowsBySlabBeyondInitialCapacity)
     // to a slot carrying its own self-reference.
     for (InstRef ref : refs)
         EXPECT_EQ(arena.get(ref).self, ref);
+}
+
+// The dirty-slot test below names every field; this fails the build
+// when either record grows one, so the test is revisited with it.
+static_assert(sizeof(DynInst) == 64 && sizeof(DynInstCold) == 88,
+              "DynInst/DynInstCold layout changed: extend "
+              "RecycledSlotIsValueInitialisedInPlace");
+
+/** A recycled slot must come back exactly as a value-initialised
+ *  DynInst/DynInstCold, whatever its previous tenant left behind:
+ *  alloc() constructs both halves in place, keeping only the
+ *  generation (and writing the new self handle). */
+TEST(InstArena, RecycledSlotIsValueInitialisedInPlace)
+{
+    InstArena arena;
+    InstRef a = arena.alloc();
+    InstRef other = arena.alloc();
+    DynInst &d = arena.get(a);
+    d.op = isa::makeLoad(3, 7, 0xdead40);
+    d.op.src2 = 9;
+    d.op.memSize = 4;
+    d.seq = 11;
+    d.readyCycle = 12;
+    d.fetchCycle = 13;
+    arena.addDependent(d, other); // depHead: freed with the slot
+    d.lsqBucketNext = other;
+    d.iqId = 2;
+    d.dispatched = d.readyFlag = d.issued = d.completed = true;
+    d.squashed = d.retired = d.inLsq = d.inRob = true;
+    d.predTaken = d.mispredicted = true;
+    d.longLatency = d.inLlib = d.execInMp = true;
+    d.srcNotReady = 2;
+    d.serviceLevel = mem::ServiceLevel::Memory;
+    d.llrfBank = 3;
+    d.llrfSlot = 77;
+    DynInstCold &c = arena.cold(a);
+    c.pc = 0x4000;
+    c.target = 0x5000;
+    c.dispatchCycle = 21;
+    c.issueCycle = 22;
+    c.completeCycle = 23;
+    c.historySnapshot = 0xabcdef;
+    c.producers[0] = other;
+    c.producers[1] = other;
+    c.prevProducer = other;
+    c.prevReadyCycle = 24;
+    c.prevDefinerSeq = 25;
+    c.prevDefinerValid = true;
+
+    arena.free(a);
+    InstRef b; // FIFO: drain the pool until the slot comes back
+    do {
+        b = arena.alloc();
+    } while (b.index() != a.index());
+
+    const DynInst fresh{};
+    const DynInst &r = arena.get(b);
+    EXPECT_EQ(r.self, b);
+    EXPECT_EQ(r.gen, b.gen());
+    EXPECT_EQ(r.op.effAddr, fresh.op.effAddr);
+    EXPECT_EQ(r.op.src1, fresh.op.src1);
+    EXPECT_EQ(r.op.src2, fresh.op.src2);
+    EXPECT_EQ(r.op.dst, fresh.op.dst);
+    EXPECT_EQ(r.op.cls, fresh.op.cls);
+    EXPECT_EQ(r.op.memSize, fresh.op.memSize);
+    EXPECT_EQ(r.seq, fresh.seq);
+    EXPECT_EQ(r.readyCycle, fresh.readyCycle);
+    EXPECT_EQ(r.fetchCycle, fresh.fetchCycle);
+    EXPECT_EQ(r.depHead, fresh.depHead);
+    EXPECT_EQ(r.lsqBucketNext, fresh.lsqBucketNext);
+    EXPECT_EQ(r.iqId, fresh.iqId);
+    EXPECT_EQ(r.dispatched, fresh.dispatched);
+    EXPECT_EQ(r.readyFlag, fresh.readyFlag);
+    EXPECT_EQ(r.issued, fresh.issued);
+    EXPECT_EQ(r.completed, fresh.completed);
+    EXPECT_EQ(r.squashed, fresh.squashed);
+    EXPECT_EQ(r.retired, fresh.retired);
+    EXPECT_EQ(r.inLsq, fresh.inLsq);
+    EXPECT_EQ(r.inRob, fresh.inRob);
+    EXPECT_EQ(r.predTaken, fresh.predTaken);
+    EXPECT_EQ(r.mispredicted, fresh.mispredicted);
+    EXPECT_EQ(r.longLatency, fresh.longLatency);
+    EXPECT_EQ(r.inLlib, fresh.inLlib);
+    EXPECT_EQ(r.execInMp, fresh.execInMp);
+    EXPECT_EQ(r.srcNotReady, fresh.srcNotReady);
+    EXPECT_EQ(r.serviceLevel, fresh.serviceLevel);
+    EXPECT_EQ(r.llrfBank, fresh.llrfBank);
+    EXPECT_EQ(r.llrfSlot, fresh.llrfSlot);
+
+    const DynInstCold cfresh{};
+    const DynInstCold &rc = arena.cold(b);
+    EXPECT_EQ(rc.pc, cfresh.pc);
+    EXPECT_EQ(rc.target, cfresh.target);
+    EXPECT_EQ(rc.dispatchCycle, cfresh.dispatchCycle);
+    EXPECT_EQ(rc.issueCycle, cfresh.issueCycle);
+    EXPECT_EQ(rc.completeCycle, cfresh.completeCycle);
+    EXPECT_EQ(rc.historySnapshot, cfresh.historySnapshot);
+    EXPECT_EQ(rc.producers[0], cfresh.producers[0]);
+    EXPECT_EQ(rc.producers[1], cfresh.producers[1]);
+    EXPECT_EQ(rc.prevProducer, cfresh.prevProducer);
+    EXPECT_EQ(rc.prevReadyCycle, cfresh.prevReadyCycle);
+    EXPECT_EQ(rc.prevDefinerSeq, cfresh.prevDefinerSeq);
+    EXPECT_EQ(rc.prevDefinerValid, cfresh.prevDefinerValid);
 }
 
 // ------------------------------------------- dependent-chain pool
@@ -386,4 +490,24 @@ TEST(InstArenaLifetime, SteadyStateMissStreamAllocationFree)
     EXPECT_GT(core.memory().memFills(), 0u);
     EXPECT_LE(core.memory().mshrOccupancy(),
               core.memory().mshrCapacity());
+}
+
+/** The MSHR expiry queue is reserved at construction and compacted in
+ *  place: a small file under constant set pressure (every allocation
+ *  displaces, leaving a stale record behind) never reallocates it. */
+TEST(InstArenaLifetime, MshrExpiryQueueAllocationFree)
+{
+    mem::MshrFile f(16, 100); // 2 sets x 8 ways
+    uint64_t now = 0;
+    auto churn = [&](int n) {
+        for (int i = 0; i < n; ++i, now += 3) {
+            f.lookup(uint64_t(i), now);
+            f.allocate(uint64_t(i), now + 5000, now);
+        }
+    };
+    churn(64); // fill every way with long-lived fills
+    uint64_t before = g_heapAllocs.load();
+    churn(10000);
+    EXPECT_EQ(g_heapAllocs.load() - before, 0u);
+    EXPECT_GT(f.displacements(), 1000u);
 }

@@ -8,9 +8,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <optional>
+
+#include "src/ckpt/serial.hh"
 #include "src/mem/cache.hh"
 #include "src/mem/hierarchy.hh"
 #include "src/mem/mshr.hh"
+#include "src/util/rng.hh"
 
 using namespace kilo;
 using namespace kilo::mem;
@@ -240,6 +246,254 @@ TEST(Mshr, DisplacementOnlyUnderLiveSetPressure)
     f.allocate(9 * 16, 5000, 0); // ninth live fill in the set
     EXPECT_EQ(f.displacements(), 1u);
     EXPECT_EQ(f.occupancy(), 8u); // still bounded by capacity
+}
+
+namespace
+{
+
+/**
+ * Reference MSHR file: the straightforward model whose periodic sweep
+ * scans every entry. MshrFile must stay observably identical to it
+ * (return values, occupancy, peak, displacements, set histogram)
+ * while finding due fills through its expiry queue instead.
+ */
+class RefMshr
+{
+  public:
+    RefMshr(uint32_t capacity, uint64_t sweep_period)
+        : sweepPeriod(sweep_period ? sweep_period : 1)
+    {
+        numWays = capacity < MshrFile::Ways ? capacity : MshrFile::Ways;
+        uint32_t sets = std::bit_ceil((capacity + numWays - 1) / numWays);
+        setMask = sets - 1;
+        entries.resize(size_t(sets) * numWays);
+    }
+
+    uint64_t
+    lookup(uint64_t line, uint64_t now)
+    {
+        sweep(now);
+        Entry *set = setOf(line);
+        uint64_t fill_done = 0;
+        for (uint32_t w = 0; w < numWays; ++w) {
+            Entry &e = set[w];
+            if (e.fillDone != 0 && e.fillDone <= now)
+                freeWay(e);
+            else if (e.fillDone != 0 && e.line == line)
+                fill_done = e.fillDone;
+        }
+        return fill_done;
+    }
+
+    bool
+    setFull(uint64_t line, uint64_t now)
+    {
+        sweep(now);
+        Entry *set = setOf(line);
+        uint32_t live = 0;
+        for (uint32_t w = 0; w < numWays; ++w) {
+            Entry &e = set[w];
+            if (e.fillDone != 0 && e.fillDone <= now)
+                freeWay(e);
+            live += e.fillDone != 0;
+        }
+        return live == numWays;
+    }
+
+    void
+    allocate(uint64_t line, uint64_t fill_done, uint64_t now)
+    {
+        sweep(now);
+        Entry *set = setOf(line);
+        Entry *victim = nullptr;
+        Entry *soonest = &set[0];
+        uint32_t set_live = 0;
+        for (uint32_t w = 0; w < numWays; ++w) {
+            Entry &e = set[w];
+            if (e.fillDone != 0 && e.fillDone <= now)
+                freeWay(e);
+            if (e.fillDone == 0) {
+                victim = &e;
+            } else {
+                ++set_live;
+                if (e.fillDone < soonest->fillDone ||
+                    soonest->fillDone == 0)
+                    soonest = &e;
+            }
+        }
+        if (victim == nullptr) {
+            ++nDisplaced;
+            freeWay(*soonest);
+            victim = soonest;
+            --set_live;
+        }
+        victim->line = line;
+        victim->fillDone = fill_done;
+        peak = std::max(peak, ++liveCount);
+        setOccHist.sample(set_live + 1);
+    }
+
+    void
+    resetPeak()
+    {
+        peak = liveCount;
+        nDisplaced = 0;
+        setOccHist.reset();
+    }
+
+    uint32_t liveCount = 0;
+    uint32_t peak = 0;
+    uint64_t nDisplaced = 0;
+    Histogram setOccHist{1, MshrFile::Ways + 1};
+
+  private:
+    struct Entry
+    {
+        uint64_t line = 0;
+        uint64_t fillDone = 0;
+    };
+
+    Entry *
+    setOf(uint64_t line)
+    {
+        return &entries[size_t(uint32_t(line) & setMask) * numWays];
+    }
+
+    void
+    freeWay(Entry &e)
+    {
+        e.fillDone = 0;
+        --liveCount;
+    }
+
+    void
+    sweep(uint64_t now)
+    {
+        if (now < nextSweep)
+            return;
+        for (Entry &e : entries)
+            if (e.fillDone != 0 && e.fillDone <= now)
+                freeWay(e);
+        nextSweep = now + sweepPeriod;
+    }
+
+    std::vector<Entry> entries;
+    uint32_t numWays;
+    uint32_t setMask;
+    uint64_t sweepPeriod;
+    uint64_t nextSweep = 0;
+};
+
+/** One randomised MSHR op stream's shape. */
+struct MshrStream
+{
+    uint32_t capacity;
+    uint64_t sweepPeriod;
+    uint64_t maxLatency;  ///< fill latency drawn from 1..maxLatency
+    bool equalLatency;    ///< every fill takes exactly maxLatency
+    uint64_t lines;       ///< distinct line addresses touched
+    uint64_t seed;
+};
+
+void
+expectSameObservables(const MshrFile &f, const RefMshr &r, int op)
+{
+    ASSERT_EQ(f.occupancy(), r.liveCount) << "op " << op;
+    ASSERT_EQ(f.peakOccupancy(), r.peak) << "op " << op;
+    ASSERT_EQ(f.displacements(), r.nDisplaced) << "op " << op;
+    const Histogram &h = f.setOccupancy();
+    ASSERT_EQ(h.samples(), r.setOccHist.samples()) << "op " << op;
+    ASSERT_EQ(h.maxSample(), r.setOccHist.maxSample()) << "op " << op;
+    for (double p : {0.5, 0.9, 0.99})
+        ASSERT_EQ(h.percentile(p), r.setOccHist.percentile(p))
+            << "op " << op << " p" << p;
+}
+
+/**
+ * Drive @p cfg's random lookup/setFull/allocate stream into MshrFile
+ * and the full-scan reference, asserting identical observables after
+ * every op. Halfway through, the file is checkpointed and restored
+ * into a fresh instance, which must keep matching: its expiry queue
+ * is not in the image and has to be rebuilt from the entries.
+ */
+void
+runDifferential(const MshrStream &cfg)
+{
+    constexpr int Ops = 20000;
+    std::optional<MshrFile> f;
+    f.emplace(cfg.capacity, cfg.sweepPeriod);
+    RefMshr ref(cfg.capacity, cfg.sweepPeriod);
+    Rng rng(cfg.seed);
+    uint64_t now = 0;
+    for (int op = 0; op < Ops; ++op) {
+        uint64_t r = rng.next();
+        // Mostly small steps, so fills land between operations, and
+        // now and then a jump well past the sweep period and any fill
+        // latency (the idle-skip pattern).
+        if (r % 128 == 0)
+            now += cfg.sweepPeriod + cfg.maxLatency +
+                   rng.range(4 * cfg.maxLatency + 1);
+        else
+            now += rng.range(cfg.maxLatency / 16 + 2);
+        uint64_t line = rng.range(cfg.lines);
+        uint64_t kind = (r >> 8) % 8; // 3 lookups : 1 probe : 4 fills
+        if (kind < 3) {
+            ASSERT_EQ(f->lookup(line, now), ref.lookup(line, now))
+                << "op " << op;
+        } else if (kind == 3) {
+            ASSERT_EQ(f->setFull(line, now), ref.setFull(line, now))
+                << "op " << op;
+        } else {
+            uint64_t lat = cfg.equalLatency
+                               ? cfg.maxLatency
+                               : 1 + rng.range(cfg.maxLatency);
+            f->allocate(line, now + lat, now);
+            ref.allocate(line, now + lat, now);
+        }
+        if (op == Ops / 4) {
+            f->resetPeak();
+            ref.resetPeak();
+        }
+        if (op == Ops / 2) {
+            ckpt::Sink sink;
+            f->save(sink);
+            f.emplace(cfg.capacity, cfg.sweepPeriod);
+            ckpt::Source src(sink.data());
+            f->load(src);
+        }
+        expectSameObservables(*f, ref, op);
+        if (::testing::Test::HasFatalFailure())
+            return; // first divergence only
+    }
+}
+
+} // anonymous namespace
+
+TEST(MshrDifferential, MatchesFullScanSweepWithArbitraryLatencies)
+{
+    runDifferential({256, 400, 1000, false, 4096, 1});
+    runDifferential({4096, 400, 400, false, 1 << 20, 2});
+}
+
+TEST(MshrDifferential, MatchesFullScanSweepWithEqualLatencies)
+{
+    runDifferential({64, 400, 400, true, 1024, 3});
+    runDifferential({64, 1, 50, true, 512, 4});
+}
+
+TEST(MshrDifferential, MatchesFullScanSweepUnderDisplacement)
+{
+    // Few sets and many lines: sets fill with live fills and the
+    // soonest-landing way is displaced (records go stale).
+    runDifferential({16, 400, 2000, false, 256, 5});
+    runDifferential({16, 100, 300, true, 64, 6});
+}
+
+TEST(MshrDifferential, MatchesFullScanSweepBelowOneSet)
+{
+    // Capacities under 8 narrow the ways of the single set.
+    for (uint32_t cap : {1u, 3u, 7u})
+        runDifferential({cap, 50, 200, false, 32, 10 + cap});
 }
 
 // ------------------------------------------------- MemoryHierarchy

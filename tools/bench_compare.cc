@@ -11,14 +11,19 @@
  * benchmark:
  *
  *     benchmark                         baseline    current    delta
- *     BM_DkipCore100kRun              1234567 ns 1250000 ns    +1.2%
+ *     BM_DkipCore100kRun              1234567 ns 1250000 ns    +1.2% noise
  *     BM_FetchBatched                      (new) 1000000 ns        -
  *
- * Only plain "iteration" runs are compared (aggregate rows such as
- * _mean/_stddev are skipped); benchmarks present in only one file
- * are reported but never fail the check. With --max-regress PCT the
- * exit status is 1 when any common benchmark's metric grew by more
- * than PCT percent — CI wires this as a NON-BLOCKING step, because
+ * A file run with --benchmark_repetitions contributes each
+ * benchmark's _median aggregate (not the first of its same-named
+ * repetition rows), and its _cv aggregate sets the noise band: a
+ * delta smaller than max(cv_baseline, cv_current) is marked "noise"
+ * and never counts as a regression. A file without aggregates (one
+ * iteration row per benchmark) contributes that row and no band.
+ * Benchmarks present in only one file are reported but never fail
+ * the check. With --max-regress PCT the exit status is 1 when any
+ * common benchmark's metric grew by more than PCT percent outside
+ * its noise band — CI wires this as a NON-BLOCKING step, because
  * trajectory snapshots are recorded on the author's machine and
  * cross-host deltas are advisory (bench/trajectory/README.md).
  *
@@ -26,6 +31,7 @@
  * 2 usage or unreadable/unparseable input.
  */
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <cstring>
@@ -37,12 +43,14 @@
 namespace
 {
 
-/** One comparable benchmark row of a google-benchmark JSON file. */
+/** One benchmark's comparable figures from a google-benchmark file. */
 struct BenchRow
 {
-    std::string name;
+    std::string name;     ///< run name (no aggregate suffix)
     double realTimeNs = 0;
     double cpuTimeNs = 0;
+    double realCv = 0;    ///< repetitions' cv (0: no band)
+    double cpuCv = 0;
 };
 
 /** Multiplier from a google-benchmark time_unit to nanoseconds. */
@@ -95,6 +103,15 @@ numberField(const std::string &obj, const std::string &key)
     return std::strtod(obj.c_str() + v, nullptr);
 }
 
+BenchRow *
+findRow(std::vector<BenchRow> &rows, const std::string &name)
+{
+    for (auto &r : rows)
+        if (r.name == name)
+            return &r;
+    return nullptr;
+}
+
 /**
  * Parse the "benchmarks" array of a google-benchmark JSON document
  * into comparable rows. Returns false when the file cannot be read
@@ -142,26 +159,35 @@ loadBenchmarks(const std::string &path, std::vector<BenchRow> &out)
         std::string obj = text.substr(open, close - open);
         pos = close;
 
-        if (stringField(obj, "run_type") != "iteration")
-            continue; // _mean/_median/_stddev aggregates
-        BenchRow row;
-        row.name = stringField(obj, "name");
-        double scale = unitToNs(stringField(obj, "time_unit"));
-        row.realTimeNs = numberField(obj, "real_time") * scale;
-        row.cpuTimeNs = numberField(obj, "cpu_time") * scale;
-        if (!row.name.empty() && std::isfinite(row.cpuTimeNs))
-            out.push_back(row);
+        std::string run = stringField(obj, "run_name");
+        if (run.empty())
+            run = stringField(obj, "name");
+        std::string type = stringField(obj, "run_type");
+        std::string agg = stringField(obj, "aggregate_name");
+        double real = numberField(obj, "real_time");
+        double cpu = numberField(obj, "cpu_time");
+        if (run.empty() || !std::isfinite(cpu))
+            continue;
+        BenchRow *row = findRow(out, run);
+        if ((type == "aggregate" && agg == "median") ||
+            (type == "iteration" && !row)) {
+            // The first repetition stands in until the median
+            // arrives; files without repetitions have only that row.
+            if (!row) {
+                out.push_back(BenchRow{run});
+                row = &out.back();
+            }
+            double scale = unitToNs(stringField(obj, "time_unit"));
+            row->realTimeNs = real * scale;
+            row->cpuTimeNs = cpu * scale;
+        } else if (row && type == "aggregate" && agg == "cv") {
+            row->realCv = real; // a ratio, whatever the time unit
+            row->cpuCv = cpu;
+        }
+        // Later repetitions and the mean/stddev aggregates add
+        // nothing to the comparison.
     }
     return true;
-}
-
-const BenchRow *
-findRow(const std::vector<BenchRow> &rows, const std::string &name)
-{
-    for (const auto &r : rows)
-        if (r.name == name)
-            return &r;
-    return nullptr;
 }
 
 int
@@ -217,6 +243,9 @@ main(int argc, char **argv)
     auto metric = [use_cpu](const BenchRow &r) {
         return use_cpu ? r.cpuTimeNs : r.realTimeNs;
     };
+    auto cv = [use_cpu](const BenchRow &r) {
+        return use_cpu ? r.cpuCv : r.realCv;
+    };
 
     int regressions = 0;
     double worst = 0;
@@ -232,9 +261,12 @@ main(int argc, char **argv)
             metric(b) > 0
                 ? (metric(*c) - metric(b)) / metric(b) * 100.0
                 : 0.0;
-        std::printf("%-34s %11.0f ns %11.0f ns %+8.1f%%\n",
-                    b.name.c_str(), metric(b), metric(*c), delta);
-        if (max_regress >= 0 && delta > max_regress) {
+        double band = std::max(cv(b), cv(*c)) * 100.0;
+        bool noise = std::fabs(delta) < band;
+        std::printf("%-34s %11.0f ns %11.0f ns %+8.1f%%%s\n",
+                    b.name.c_str(), metric(b), metric(*c), delta,
+                    noise ? " noise" : "");
+        if (max_regress >= 0 && delta > max_regress && !noise) {
             ++regressions;
             if (delta > worst) {
                 worst = delta;

@@ -22,7 +22,8 @@
  * --warmup to view steady-state behaviour instead.
  *
  * --profile prints the run's wall-time self-profile (warmup /
- * measure / finish phases) to stderr.
+ * measure / finish phases) to stderr, then how many of the simulated
+ * cycles the core actually ticked (the rest were idle-skipped).
  */
 
 #include <cstdint>
@@ -161,8 +162,18 @@ main(int argc, char **argv)
                      (unsigned long long)res.stats.committed,
                      res.ipc, timeline.size(),
                      (unsigned long long)timeline.dropped());
-        if (profile)
+        if (profile) {
             std::fputs(prof.report().c_str(), stderr);
+            uint64_t cycles = session.core().cycle();
+            uint64_t ticked = session.core().tickedCycles();
+            std::fprintf(stderr,
+                         "pipeview: cycles=%llu ticked=%llu "
+                         "(%.1f%% ticked, rest idle-skipped)\n",
+                         (unsigned long long)cycles,
+                         (unsigned long long)ticked,
+                         cycles ? 100.0 * double(ticked) / double(cycles)
+                                : 0.0);
+        }
         return 0;
     } catch (const std::exception &e) {
         std::fprintf(stderr, "error: %s\n", e.what());
