@@ -27,6 +27,7 @@
 
 #include "src/sim/session.hh"
 #include "src/sim/sweep_engine.hh"
+#include "src/util/parse.hh"
 
 using namespace kilo;
 
@@ -40,7 +41,7 @@ main(int argc, char **argv)
     std::vector<std::string> pos;
     for (int i = 1; i < argc; ++i) {
         if (std::strcmp(argv[i], "--interval") == 0 && i + 1 < argc) {
-            interval = std::strtoull(argv[++i], nullptr, 10);
+            interval = util::parseFlagU64("--interval", argv[++i]);
             continue;
         }
         pos.push_back(argv[i]);

@@ -9,8 +9,6 @@
  *                       test (tests/test_arena.cpp)
  *   nondeterminism    — the golden JSONL / trace / sharded-merge
  *                       bit-identity diffs
- *   stat-name-style   — the stats_schema.golden naming contract
- *                       (src/stats/DESIGN.md)
  *   raw-serialization — the versioned KILOTRC format and the framed
  *                       container (KILOCKPT, KILOAUD) owned by
  *                       src/trace and src/ckpt
@@ -38,20 +36,6 @@ namespace
 {
 
 using sv = std::string_view;
-
-bool
-isPunct(const Token &t, sv text)
-{
-    return t.kind == TokKind::Punct && t.text == text;
-}
-
-/** tokens[i], or a harmless sentinel when out of range. */
-const Token &
-at(const std::vector<Token> &t, size_t i)
-{
-    static const Token sentinel{TokKind::Punct, "", 0};
-    return i < t.size() ? t[i] : sentinel;
-}
 
 bool
 anyOf(sv needle, std::initializer_list<sv> hay)
@@ -140,8 +124,8 @@ class HotPathAllocRule : public Rule
                 t[i].kind != TokKind::Identifier)
                 continue;
             const std::string &x = t[i].text;
-            const Token &prev = at(t, i ? i - 1 : t.size());
-            const Token &next = at(t, i + 1);
+            const Token &prev = tokenAt(t, i ? i - 1 : t.size());
+            const Token &next = tokenAt(t, i + 1);
             bool member = isPunct(prev, ".") || isPunct(prev, "->");
 
             if ((x == "new" || x == "delete") && !member) {
@@ -194,8 +178,8 @@ class NondeterminismRule : public Rule
             if (t[i].kind != TokKind::Identifier)
                 continue;
             const std::string &x = t[i].text;
-            const Token &prev = at(t, i ? i - 1 : t.size());
-            const Token &next = at(t, i + 1);
+            const Token &prev = tokenAt(t, i ? i - 1 : t.size());
+            const Token &next = tokenAt(t, i + 1);
             bool member = isPunct(prev, ".") || isPunct(prev, "->");
 
             if (anyOf(x, {"unordered_map", "unordered_set",
@@ -242,64 +226,6 @@ class NondeterminismRule : public Rule
     }
 };
 
-// ------------------------------------------------ stat-name-style
-
-class StatNameStyleRule : public Rule
-{
-  public:
-    StatNameStyleRule()
-        : Rule("stat-name-style",
-               "stat names at Registry registration sites "
-               "(.counter/.gauge/.gaugeInt/.histogram) are "
-               "lower_snake_case per src/stats/DESIGN.md",
-               Severity::Error)
-    {}
-
-    void
-    check(const SourceFile &f, std::vector<Finding> &out) const override
-    {
-        const auto &t = f.tokens;
-        for (size_t i = 0; i + 2 < t.size(); ++i) {
-            if (t[i].kind != TokKind::Identifier ||
-                !anyOf(t[i].text,
-                       {"counter", "gauge", "gaugeInt", "histogram"}))
-                continue;
-            const Token &prev = at(t, i ? i - 1 : t.size());
-            if (!(isPunct(prev, ".") || isPunct(prev, "->")))
-                continue;
-            if (!isPunct(t[i + 1], "(") ||
-                t[i + 2].kind != TokKind::String)
-                continue;
-            const std::string &name = t[i + 2].text;
-            if (!snakeCase(name)) {
-                report(out, f, t[i + 2].line,
-                       "stat name \"" + name +
-                           "\" is not lower_snake_case "
-                           "([a-z][a-z0-9_]*, no trailing or "
-                           "double underscore)");
-            }
-        }
-    }
-
-  private:
-    static bool
-    snakeCase(const std::string &s)
-    {
-        if (s.empty() || !std::islower(static_cast<unsigned char>(s[0])))
-            return false;
-        char last = 0;
-        for (char c : s) {
-            bool ok = std::islower(static_cast<unsigned char>(c)) ||
-                      std::isdigit(static_cast<unsigned char>(c)) ||
-                      c == '_';
-            if (!ok || (c == '_' && last == '_'))
-                return false;
-            last = c;
-        }
-        return s.back() != '_';
-    }
-};
-
 // ---------------------------------------------- raw-serialization
 
 class RawSerializationRule : public Rule
@@ -318,9 +244,9 @@ class RawSerializationRule : public Rule
     appliesTo(const SourceFile &f) const override
     {
         // bench/ and examples/ are out of scope: only the portable
-        // rules (nondeterminism, header-hygiene, stat-name-style)
-        // extend there — demo code writing a scratch file is not a
-        // format-ownership violation.
+        // rules (nondeterminism, header-hygiene) extend there — demo
+        // code writing a scratch file is not a format-ownership
+        // violation.
         return !pathInDir(f.path, "src/ckpt") &&
                !pathInDir(f.path, "src/trace") &&
                !pathInDir(f.path, "bench") &&
@@ -335,10 +261,10 @@ class RawSerializationRule : public Rule
             if (t[i].kind != TokKind::Identifier ||
                 !anyOf(t[i].text, {"fwrite", "fread"}))
                 continue;
-            const Token &prev = at(t, i ? i - 1 : t.size());
+            const Token &prev = tokenAt(t, i ? i - 1 : t.size());
             if (isPunct(prev, ".") || isPunct(prev, "->"))
                 continue;  // member function of some stream class
-            if (!isPunct(at(t, i + 1), "("))
+            if (!isPunct(tokenAt(t, i + 1), "("))
                 continue;
             report(out, f, t[i].line,
                    t[i].text +
@@ -401,8 +327,8 @@ class HeaderHygieneRule : public Rule
 
 /**
  * Placeholder for --list and the severity table: the findings are
- * produced by Linter::lintSource itself, which is the only place
- * that knows whether an annotation fired.
+ * produced by Analysis::run itself, which is the only place that
+ * knows whether an annotation fired.
  */
 class UnusedSuppressionRule : public Rule
 {
@@ -427,7 +353,6 @@ RuleRegistry::builtin()
     RuleRegistry reg;
     reg.add(std::make_unique<HotPathAllocRule>());
     reg.add(std::make_unique<NondeterminismRule>());
-    reg.add(std::make_unique<StatNameStyleRule>());
     reg.add(std::make_unique<RawSerializationRule>());
     reg.add(std::make_unique<HeaderHygieneRule>());
     reg.add(std::make_unique<UnusedSuppressionRule>());

@@ -1,8 +1,10 @@
 #include "src/shard/manifest.hh"
 
-#include <cstdlib>
 #include <fstream>
+#include <optional>
 #include <sstream>
+
+#include "src/util/parse.hh"
 
 namespace kilo::shard
 {
@@ -28,21 +30,18 @@ fail(const std::string &where, size_t line_no, const std::string &msg)
                      std::to_string(line_no) + ": " + msg);
 }
 
-/** Whole-string unsigned parse; any trailing junk is an error. */
+/** Whole-string decimal parse (util::parseU64); junk is an error. */
 uint64_t
 parseU64(const std::string &where, size_t line_no,
          const std::string &key, const std::string &value)
 {
-    if (value.empty() || value.find_first_not_of("0123456789") !=
-                             std::string::npos) {
+    std::optional<uint64_t> v = util::parseU64(value);
+    if (!v) {
         fail(where, line_no,
-             key + " needs an unsigned integer, got '" + value + "'");
+             key + " needs an unsigned 64-bit integer, got '" + value +
+                 "'");
     }
-    errno = 0;
-    uint64_t v = std::strtoull(value.c_str(), nullptr, 10);
-    if (errno == ERANGE)
-        fail(where, line_no, key + " value out of range: " + value);
-    return v;
+    return *v;
 }
 
 } // anonymous namespace
@@ -52,28 +51,23 @@ parseShardSpec(const std::string &spec, uint32_t &index,
                uint32_t &count)
 {
     size_t slash = spec.find('/');
-    if (slash == std::string::npos || slash == 0 ||
-        slash + 1 >= spec.size()) {
+    std::optional<uint64_t> i, c;
+    if (slash != std::string::npos) {
+        i = util::parseU64(spec.substr(0, slash));
+        c = util::parseU64(spec.substr(slash + 1));
+    }
+    if (!i || !c) {
         throw ShardError("shard spec must be INDEX/COUNT, got '" +
                          spec + "'");
     }
-    std::string is = spec.substr(0, slash);
-    std::string cs = spec.substr(slash + 1);
-    if (is.find_first_not_of("0123456789") != std::string::npos ||
-        cs.find_first_not_of("0123456789") != std::string::npos) {
-        throw ShardError("shard spec must be INDEX/COUNT, got '" +
-                         spec + "'");
-    }
-    uint64_t i = std::strtoull(is.c_str(), nullptr, 10);
-    uint64_t c = std::strtoull(cs.c_str(), nullptr, 10);
-    if (c == 0 || c > 1u << 20)
+    if (*c == 0 || *c > 1u << 20)
         throw ShardError("implausible shard count in '" + spec + "'");
-    if (i >= c) {
-        throw ShardError("shard index " + std::to_string(i) +
-                         " outside count " + std::to_string(c));
+    if (*i >= *c) {
+        throw ShardError("shard index " + std::to_string(*i) +
+                         " outside count " + std::to_string(*c));
     }
-    index = uint32_t(i);
-    count = uint32_t(c);
+    index = uint32_t(*i);
+    count = uint32_t(*c);
 }
 
 Manifest

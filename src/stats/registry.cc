@@ -36,9 +36,35 @@ Snapshot::value(std::string_view name) const
     return e ? e->value.asDouble() : 0.0;
 }
 
+namespace
+{
+
+/** [a-z][a-z0-9_]*, with no "__" run and no trailing '_'. */
+bool
+snakeCase(const std::string &s)
+{
+    if (s.empty() || s[0] < 'a' || s[0] > 'z' || s.back() == '_')
+        return false;
+    for (size_t i = 0; i < s.size(); ++i) {
+        char c = s[i];
+        bool ok = (c >= 'a' && c <= 'z') || (c >= '0' && c <= '9') ||
+                  c == '_';
+        if (!ok || (c == '_' && s[i - 1] == '_'))
+            return false;
+    }
+    return true;
+}
+
+} // anonymous namespace
+
 void
 Registry::add(Def def)
 {
+    if (!snakeCase(def.name)) {
+        KILO_PANIC("stat name '%s' is not lower_snake_case "
+                   "([a-z][a-z0-9_]*, no '__', no trailing '_')",
+                   def.name.c_str());
+    }
     for (const auto &existing : defs_) {
         if (existing.name == def.name) {
             KILO_PANIC("stat '%s' registered twice "

@@ -30,7 +30,9 @@
  * naming scheme and the schema stability policy.
  *
  * Duplicate names panic: two components claiming one name is a
- * simulator bug, never a runtime condition.
+ * simulator bug, never a runtime condition. So does a name that is
+ * not lower_snake_case ([a-z][a-z0-9_]*, no "__", no trailing '_'),
+ * whether it is a literal or computed.
  */
 
 #pragma once

@@ -80,6 +80,25 @@ TEST(RegistryDeathTest, DuplicateNamePanics)
                  "registered twice");
 }
 
+TEST(RegistryDeathTest, NonSnakeCaseNamePanics)
+{
+    // Every name, literal or computed, passes through Registry::add;
+    // the JSONL row keys it becomes must be lower_snake_case.
+    Registry ok;
+    uint64_t a = 0, b = 0;
+    ok.counter("commit_insts", "well named", &a);
+    ok.counter("l2_hit_rate_x1000", "well named", &b);
+    EXPECT_EQ(ok.defs().size(), 2u);
+
+    for (const char *bad : {"BadName", "a__b", "trail_", "9x"}) {
+        Registry reg;
+        uint64_t v = 0;
+        EXPECT_DEATH(reg.counter(bad, "badly named", &v),
+                     "not lower_snake_case")
+            << bad;
+    }
+}
+
 TEST(Registry, ResetZeroesCountersAndPreservesHistogramConfig)
 {
     Registry reg;

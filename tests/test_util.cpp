@@ -1,10 +1,12 @@
 /**
  * @file
  * Unit tests for the utility layer: circular buffer, bit vector,
- * event wheel, histogram, free list and RNG.
+ * event wheel, histogram, free list, RNG and the number parser.
  */
 
 #include <gtest/gtest.h>
+
+#include <optional>
 
 #include "src/ckpt/serial.hh"
 #include "src/util/bit_vector.hh"
@@ -12,9 +14,60 @@
 #include "src/util/event_wheel.hh"
 #include "src/util/free_list.hh"
 #include "src/util/histogram.hh"
+#include "src/util/parse.hh"
 #include "src/util/rng.hh"
 
 using namespace kilo;
+
+// ----------------------------------------------------------- parseU64
+
+TEST(ParseU64, WholeStringOrNothing)
+{
+    struct Case
+    {
+        const char *text;
+        int base;
+        std::optional<uint64_t> want;
+    };
+    const Case cases[] = {
+        // Rejected: what bare strtoull accepts, truncates or wraps.
+        {"", 10, std::nullopt},
+        {"25k", 10, std::nullopt},
+        {"1OOO", 10, std::nullopt},  // letter O, not zero
+        {"-1", 10, std::nullopt},
+        {"+5", 10, std::nullopt},
+        {" 5", 10, std::nullopt},
+        {"5 ", 10, std::nullopt},
+        {"18446744073709551616", 10, std::nullopt},  // 2^64
+        {"0x10", 10, std::nullopt},
+        {"0x", 0, std::nullopt},
+        {"fg", 16, std::nullopt},
+        // Accepted: decimal, and hex where the flag takes hex.
+        {"0", 10, 0},
+        {"25000", 10, 25000},
+        {"007", 10, 7},
+        {"18446744073709551615", 10, UINT64_MAX},
+        {"0x10", 0, 16},
+        {"25000", 0, 25000},
+        {"ff", 16, 255},
+        {"0xFF", 16, 255},
+    };
+    for (const Case &c : cases) {
+        EXPECT_EQ(util::parseU64(c.text, c.base), c.want)
+            << "'" << c.text << "' base " << c.base;
+    }
+}
+
+TEST(ParseU64Death, BadFlagValueExitsWithUsageStatus)
+{
+    EXPECT_EXIT(util::parseFlagU64("--flip-cycle", "25k"),
+                ::testing::ExitedWithCode(2),
+                "--flip-cycle needs an unsigned integer");
+    EXPECT_EXIT(util::parseFlagU64("--orchestrate", "4294967296", 10,
+                                   UINT32_MAX),
+                ::testing::ExitedWithCode(2), "up to 4294967295");
+    EXPECT_EQ(util::parseFlagU64("--ops", "1000"), 1000u);
+}
 
 // ---------------------------------------------------------------- Rng
 

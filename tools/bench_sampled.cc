@@ -31,6 +31,7 @@
 #include "src/sample/sampled_run.hh"
 #include "src/sim/sweep_engine.hh"
 #include "src/trace/capture.hh"
+#include "src/util/parse.hh"
 #include "src/wload/synthetic.hh"
 
 using namespace kilo;
@@ -105,19 +106,21 @@ main(int argc, char **argv)
             }
             return argv[++i];
         };
+        auto number = [&](int base = 10, uint64_t max = UINT64_MAX) {
+            return util::parseFlagU64(arg.c_str(), value(), base, max);
+        };
         if (arg == "--machines")
             opt.machines = splitCsv(value());
         else if (arg == "--workload")
             opt.workload = value();
         else if (arg == "--ops")
-            opt.ops = std::strtoull(value(), nullptr, 10);
+            opt.ops = number();
         else if (arg == "--warmup")
-            opt.warmup = std::strtoull(value(), nullptr, 10);
+            opt.warmup = number();
         else if (arg == "--interval")
-            opt.interval = std::strtoull(value(), nullptr, 10);
+            opt.interval = number();
         else if (arg == "--clusters")
-            opt.clusters =
-                uint32_t(std::strtoul(value(), nullptr, 10));
+            opt.clusters = uint32_t(number(10, UINT32_MAX));
         else if (arg == "--trace")
             opt.tracePath = value();
         else if (arg == "--json")

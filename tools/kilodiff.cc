@@ -22,12 +22,12 @@
  */
 
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <string>
 
 #include "src/obs/audit.hh"
 #include "src/obs_audit/bisect.hh"
+#include "src/util/parse.hh"
 
 using namespace kilo;
 
@@ -80,6 +80,7 @@ parseRunOptions(int argc, char **argv, int first)
             }
             return argv[++i];
         };
+        auto number = [&] { return util::parseFlagU64(arg, value(), 0); };
         if (!std::strcmp(arg, "--machine")) {
             o.spec.machine = value();
         } else if (!std::strcmp(arg, "--workload")) {
@@ -87,23 +88,21 @@ parseRunOptions(int argc, char **argv, int first)
         } else if (!std::strcmp(arg, "--mem")) {
             o.spec.mem = value();
         } else if (!std::strcmp(arg, "--warmup")) {
-            o.spec.rc.warmupInsts = std::strtoull(value(), nullptr, 0);
+            o.spec.rc.warmupInsts = number();
         } else if (!std::strcmp(arg, "--measure")) {
-            o.spec.rc.measureInsts =
-                std::strtoull(value(), nullptr, 0);
+            o.spec.rc.measureInsts = number();
         } else if (!std::strcmp(arg, "--interval")) {
-            o.spec.rc.auditIntervalInsts =
-                std::strtoull(value(), nullptr, 0);
+            o.spec.rc.auditIntervalInsts = number();
         } else if (!std::strcmp(arg, "--trace")) {
             o.spec.rc.tracePath = value();
         } else if (!std::strcmp(arg, "--flip-cycle")) {
-            o.flipCycle = std::strtoull(value(), nullptr, 0);
+            o.flipCycle = number();
         } else if (!std::strcmp(arg, "--flip-mask")) {
-            o.flipMask = std::strtoull(value(), nullptr, 0);
+            o.flipMask = number();
         } else if (!std::strcmp(arg, "--dump")) {
             o.dumpPrefix = value();
         } else if (!std::strcmp(arg, "--margin")) {
-            o.margin = std::strtoull(value(), nullptr, 0);
+            o.margin = number();
         } else {
             std::fprintf(stderr, "error: unknown option %s\n", arg);
             o.ok = false;

@@ -5,51 +5,33 @@
  *     kilolint [options] <file-or-dir>...
  *
  *     --list                 print the rule catalog and exit
- *     --json                 emit the machine-readable report on
- *                            stdout instead of file:line text
  *     --max-suppressions N   fail (exit 3) when the tree carries
  *                            more than N allow() annotations, even
  *                            if every one of them fires — the CI
  *                            cap that keeps exemptions scarce
- *     --rule NAME            run only rule NAME (repeatable);
- *                            unused-suppression stays active
  *     --layers FILE          module-layer DAG spec (src/lint/layers);
  *                            activates the layering rule
  *     --schema FILE          stats schema golden
  *                            (tools/stats_schema.golden); activates
  *                            schema-sync
- *     --baseline FILE        drop findings present in FILE (a prior
- *                            --json report): PR CI gates only on
- *                            *new* findings
- *     --diff PATH:N[-M]      keep only findings on the given line
- *                            range (repeatable); for linting just a
- *                            change
- *     --sarif FILE           also write a SARIF 2.1.0 report to FILE
- *                            for GitHub code scanning ("-": stdout)
- *     --fix                  apply mechanical autofixes in place
- *                            (std::endl -> '\n', missing #pragma
- *                            once, trailing-'_' stat names), print
- *                            the edit count, and exit — idempotent
  *
- * Exit codes: 0 clean, 1 findings, 2 usage/IO error,
+ * Findings print one per line on stdout as
+ * "file:line: [kilolint-<rule>] message"; a summary line goes to
+ * stderr. Exit codes: 0 clean, 1 findings, 2 usage/IO error,
  * 3 suppression cap exceeded.
  */
 
-#include <algorithm>
+#include <cstdint>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
-#include <filesystem>
 #include <fstream>
-#include <memory>
-#include <set>
+#include <optional>
 #include <sstream>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
-#include "src/lint/fix.hh"
 #include "src/lint/linter.hh"
+#include "src/util/parse.hh"
 
 using namespace kilo::lint;
 
@@ -59,13 +41,10 @@ namespace
 int
 usage()
 {
-    std::fprintf(
-        stderr,
-        "usage: kilolint [--list] [--json] [--max-suppressions N]\n"
-        "                [--rule NAME]... [--layers FILE]\n"
-        "                [--schema FILE] [--baseline FILE]\n"
-        "                [--diff PATH:N[-M]]... [--sarif FILE]\n"
-        "                [--fix] <file-or-dir>...\n");
+    std::fprintf(stderr,
+                 "usage: kilolint [--list] [--max-suppressions N]\n"
+                 "                [--layers FILE] [--schema FILE]\n"
+                 "                <file-or-dir>...\n");
     return 2;
 }
 
@@ -81,99 +60,15 @@ readFile(const std::string &path, std::string &out)
     return true;
 }
 
-/** Every lintable file under the given paths, sorted per root. */
-std::vector<std::string>
-expandPaths(const std::vector<std::string> &paths)
-{
-    namespace fs = std::filesystem;
-    auto lintable = [](const fs::path &p) {
-        std::string ext = p.extension().string();
-        return ext == ".hh" || ext == ".h" || ext == ".hpp" ||
-               ext == ".cc" || ext == ".cpp";
-    };
-    std::vector<std::string> out;
-    for (const std::string &path : paths) {
-        fs::path root(path);
-        std::error_code ec;
-        if (fs::is_directory(root, ec)) {
-            std::vector<fs::path> files;
-            for (fs::recursive_directory_iterator it(root), end;
-                 it != end; ++it) {
-                if (it->is_regular_file() && lintable(it->path()))
-                    files.push_back(it->path());
-            }
-            std::sort(files.begin(), files.end());
-            for (const auto &p : files)
-                out.push_back(p.generic_string());
-        } else if (fs::is_regular_file(root, ec)) {
-            out.push_back(root.generic_string());
-        } else {
-            throw std::runtime_error(
-                "kilolint: no such file or directory: " + path);
-        }
-    }
-    return out;
-}
-
-int
-runFix(const std::vector<std::string> &paths)
-{
-    std::vector<std::string> files;
-    try {
-        files = expandPaths(paths);
-    } catch (const std::exception &e) {
-        std::fprintf(stderr, "%s\n", e.what());
-        return 2;
-    }
-    FixStats total;
-    int filesChanged = 0;
-    for (const std::string &path : files) {
-        std::string content;
-        if (!readFile(path, content)) {
-            std::fprintf(stderr, "kilolint: cannot read %s\n",
-                         path.c_str());
-            return 2;
-        }
-        FixStats st;
-        std::string fixed = applyFixes(path, content, &st);
-        if (st.total() == 0)
-            continue;
-        std::ofstream outf(path,
-                           std::ios::binary | std::ios::trunc);
-        if (!outf || !(outf << fixed)) {
-            std::fprintf(stderr, "kilolint: cannot write %s\n",
-                         path.c_str());
-            return 2;
-        }
-        ++filesChanged;
-        total.endl += st.endl;
-        total.pragmaOnce += st.pragmaOnce;
-        total.statName += st.statName;
-        std::printf("fixed %s (%d edit(s))\n", path.c_str(),
-                    st.total());
-    }
-    std::fprintf(stderr,
-                 "kilolint --fix: %d file(s) changed, %d edit(s) "
-                 "(%d endl, %d pragma-once, %d stat-name)\n",
-                 filesChanged, total.total(), total.endl,
-                 total.pragmaOnce, total.statName);
-    return 0;
-}
-
 } // anonymous namespace
 
 int
 main(int argc, char **argv)
 {
-    bool json = false;
     bool list = false;
-    bool fix = false;
-    long maxSuppressions = -1;
-    std::set<std::string> only;
+    std::optional<uint64_t> maxSuppressions;
     std::vector<std::string> paths;
-    std::string layersPath, schemaPath, baselinePath, sarifPath;
-    DiffRanges diff;
-    bool haveDiff = false;
+    std::string layersPath, schemaPath;
 
     for (int i = 1; i < argc; ++i) {
         std::string arg = argv[i];
@@ -185,45 +80,16 @@ main(int argc, char **argv)
         };
         if (arg == "--list") {
             list = true;
-        } else if (arg == "--json") {
-            json = true;
-        } else if (arg == "--fix") {
-            fix = true;
         } else if (arg == "--max-suppressions") {
-            if (++i >= argc)
+            if (++i >= argc ||
+                !(maxSuppressions = kilo::util::parseU64(argv[i])))
                 return usage();
-            char *end = nullptr;
-            maxSuppressions = std::strtol(argv[i], &end, 10);
-            if (!end || *end || maxSuppressions < 0)
-                return usage();
-        } else if (arg == "--rule") {
-            if (++i >= argc)
-                return usage();
-            only.insert(argv[i]);
         } else if (arg == "--layers") {
             if (!value(layersPath))
                 return usage();
         } else if (arg == "--schema") {
             if (!value(schemaPath))
                 return usage();
-        } else if (arg == "--baseline") {
-            if (!value(baselinePath))
-                return usage();
-        } else if (arg == "--sarif") {
-            if (!value(sarifPath))
-                return usage();
-        } else if (arg == "--diff") {
-            std::string spec;
-            if (!value(spec))
-                return usage();
-            if (!diff.add(spec)) {
-                std::fprintf(stderr,
-                             "kilolint: bad --diff spec '%s' "
-                             "(want path:start[-end])\n",
-                             spec.c_str());
-                return 2;
-            }
-            haveDiff = true;
         } else if (arg.rfind("--", 0) == 0) {
             return usage();
         } else {
@@ -243,20 +109,10 @@ main(int argc, char **argv)
     }
     if (paths.empty())
         return usage();
-    if (fix)
-        return runFix(paths);
-
-    for (const auto &name : only) {
-        if (!all.find(name)) {
-            std::fprintf(stderr, "kilolint: unknown rule '%s'\n",
-                         name.c_str());
-            return 2;
-        }
-    }
 
     AnalysisOptions opts;
+    std::string text;
     if (!layersPath.empty()) {
-        std::string text;
         if (!readFile(layersPath, text)) {
             std::fprintf(stderr,
                          "kilolint: cannot read layer spec %s\n",
@@ -266,7 +122,6 @@ main(int argc, char **argv)
         opts.layers = LayerSpec::parse(layersPath, text);
     }
     if (!schemaPath.empty()) {
-        std::string text;
         if (!readFile(schemaPath, text)) {
             std::fprintf(stderr,
                          "kilolint: cannot read schema golden %s\n",
@@ -276,20 +131,6 @@ main(int argc, char **argv)
         opts.schema = SchemaGolden::parse(schemaPath, text);
     }
 
-    std::multiset<std::string> baseline;
-    if (!baselinePath.empty()) {
-        std::string text;
-        if (!readFile(baselinePath, text) ||
-            !parseBaselineKeys(text, baseline)) {
-            std::fprintf(stderr,
-                         "kilolint: cannot parse baseline %s\n",
-                         baselinePath.c_str());
-            return 2;
-        }
-    }
-
-    // --rule filters findings after the run (suppressions still
-    // resolve per rule); the unused-suppression pass always runs.
     Analysis analysis(all, std::move(opts));
     LintReport report;
     try {
@@ -301,55 +142,21 @@ main(int argc, char **argv)
         return 2;
     }
 
-    if (!only.empty()) {
-        std::vector<Finding> kept;
-        for (auto &f : report.findings) {
-            if (only.count(f.rule) ||
-                f.rule == "unused-suppression")
-                kept.push_back(std::move(f));
-        }
-        report.findings = std::move(kept);
-    }
-    if (!baselinePath.empty())
-        filterBaseline(report, std::move(baseline));
-    if (haveDiff)
-        filterDiff(report, diff);
+    for (const auto &f : report.findings)
+        std::printf("%s\n", findingLine(f).c_str());
+    std::fprintf(stderr,
+                 "kilolint: %d file(s), %zu finding(s), "
+                 "%d/%d suppression(s) used\n",
+                 report.filesScanned, report.findings.size(),
+                 report.suppressionsUsed, report.suppressionsTotal);
 
-    if (!sarifPath.empty()) {
-        std::string sarif = sarifJson(report, all);
-        if (sarifPath == "-") {
-            std::printf("%s\n", sarif.c_str());
-        } else {
-            std::ofstream outf(sarifPath,
-                               std::ios::binary | std::ios::trunc);
-            if (!outf || !(outf << sarif << "\n")) {
-                std::fprintf(stderr,
-                             "kilolint: cannot write SARIF to %s\n",
-                             sarifPath.c_str());
-                return 2;
-            }
-        }
-    }
-
-    if (json) {
-        std::printf("%s\n", reportJson(report).c_str());
-    } else {
-        for (const auto &f : report.findings)
-            std::printf("%s\n", findingLine(f).c_str());
-        std::fprintf(stderr,
-                     "kilolint: %d file(s), %zu finding(s), "
-                     "%d/%d suppression(s) used\n",
-                     report.filesScanned, report.findings.size(),
-                     report.suppressionsUsed,
-                     report.suppressionsTotal);
-    }
-
-    if (maxSuppressions >= 0 &&
-        report.suppressionsTotal > maxSuppressions) {
+    if (maxSuppressions &&
+        uint64_t(report.suppressionsTotal) > *maxSuppressions) {
         std::fprintf(stderr,
                      "kilolint: %d suppression(s) exceed the cap of "
-                     "%ld — remove one or raise the documented cap\n",
-                     report.suppressionsTotal, maxSuppressions);
+                     "%llu — remove one or raise the documented cap\n",
+                     report.suppressionsTotal,
+                     (unsigned long long)*maxSuppressions);
         return 3;
     }
     return report.findings.empty() ? 0 : 1;

@@ -76,6 +76,7 @@
 #include "src/obs/heartbeat.hh"
 #include "src/shard/orchestrator.hh"
 #include "src/sim/sweep_engine.hh"
+#include "src/util/parse.hh"
 
 using namespace kilo;
 
@@ -257,13 +258,16 @@ main(int argc, char **argv)
             }
             return argv[++i];
         };
+        auto number = [&](int base = 10, uint64_t max = UINT64_MAX) {
+            return util::parseFlagU64(arg.c_str(), value(), base, max);
+        };
         if (arg == "--single") {
             single = true;
         } else if (arg == "--orchestrate") {
             orchestrate = true;
-            shards = uint32_t(std::strtoul(value(), nullptr, 10));
+            shards = uint32_t(number(10, UINT32_MAX));
         } else if (arg == "--deadline-ms") {
-            deadline_ms = std::strtoull(value(), nullptr, 10);
+            deadline_ms = number();
         } else if (arg == "--shard") {
             shard_spec = value();
         } else if (arg == "--heartbeat") {
@@ -275,13 +279,13 @@ main(int argc, char **argv)
         } else if (arg == "--crash-token") {
             crash_token = value();
         } else if (arg == "--crash-after") {
-            crash_after = std::strtoull(value(), nullptr, 10);
+            crash_after = number();
         } else if (arg == "--flip-token") {
             flip_token = value();
         } else if (arg == "--flip-cycle") {
-            flip_cycle = std::strtoull(value(), nullptr, 10);
+            flip_cycle = number();
         } else if (arg == "--flip-mask") {
-            flip_mask = std::strtoull(value(), nullptr, 16);
+            flip_mask = number(16);
         } else if (!arg.empty() && arg[0] == '-') {
             return usage(argv[0]);
         } else if (manifest_path.empty()) {

@@ -36,6 +36,7 @@
 #include "src/obs/profiler.hh"
 #include "src/obs/timeline.hh"
 #include "src/sim/session.hh"
+#include "src/util/parse.hh"
 
 using namespace kilo;
 
@@ -103,6 +104,9 @@ main(int argc, char **argv)
             }
             return argv[++i];
         };
+        auto number = [&] {
+            return util::parseFlagU64(arg.c_str(), value());
+        };
         if (arg == "--machine") {
             machine = value();
         } else if (arg == "--workload") {
@@ -110,11 +114,11 @@ main(int argc, char **argv)
         } else if (arg == "--mem") {
             mem_name = value();
         } else if (arg == "--warmup") {
-            warmup = std::strtoull(value(), nullptr, 10);
+            warmup = number();
         } else if (arg == "--ops") {
-            ops = std::strtoull(value(), nullptr, 10);
+            ops = number();
         } else if (arg == "--capacity") {
-            capacity = std::strtoull(value(), nullptr, 10);
+            capacity = number();
         } else if (arg == "--konata") {
             konata_path = value();
         } else if (arg == "--chrome") {
