@@ -23,9 +23,9 @@
 #include <cstdint>
 #include <vector>
 
+#include "src/ckpt/serial.hh"
 #include "src/core/dyn_inst.hh"
 #include "src/core/inst_arena.hh"
-#include "src/util/logging.hh"
 #include "src/util/ring_deque.hh"
 
 namespace kilo::core
@@ -77,7 +77,9 @@ class Lsq
     void countForward() { ++nForwards; }
 
     /** Serialize / restore entries, the store index and the forward
-     *  counter. Capacity is configuration. @{ */
+     *  counter. Capacity is configuration: load() throws
+     *  CheckpointError when the saved entries or store index do not
+     *  fit it. @{ */
     template <typename Sink>
     void
     save(Sink &s) const
@@ -92,9 +94,13 @@ class Lsq
     load(Source &s)
     {
         entries.load(s);
+        if (entries.size() > cap)
+            throw ckpt::CheckpointError(
+                "LSQ checkpoint exceeds configured capacity");
         s.podVector(buckets);
-        KILO_ASSERT(buckets.size() == NumBuckets,
-                    "Lsq checkpoint bucket-count mismatch");
+        if (buckets.size() != NumBuckets)
+            throw ckpt::CheckpointError(
+                "LSQ checkpoint bucket-count mismatch");
         nForwards = s.template scalar<uint64_t>();
     }
     /** @} */

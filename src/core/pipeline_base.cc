@@ -683,13 +683,6 @@ PipelineBase::runUntil(uint64_t target_committed, uint64_t cycle_limit)
     }
 }
 
-void
-PipelineBase::runCycles(uint64_t n)
-{
-    for (uint64_t i = 0; i < n; ++i)
-        tick();
-}
-
 // ---------------------------------------------------------------------
 // Checkpointing and fast-forward
 // ---------------------------------------------------------------------

@@ -90,9 +90,6 @@ class PipelineBase
      */
     void runUntil(uint64_t target_committed, uint64_t cycle_limit);
 
-    /** Simulate exactly @p n cycles (no idle skipping). */
-    void runCycles(uint64_t n);
-
     /** Statistics of the measured region. */
     CoreStats &stats() { return st; }
     const CoreStats &stats() const { return st; }

@@ -3,6 +3,12 @@
  * The Decoupled KILO-Instruction Processor (D-KIP) — the paper's
  * primary contribution.
  *
+ * It shares the aging ROB, the Analyze stage, the LLBV and checkpoint
+ * recovery with the KILO baseline (dkip::AnalyzeCore). The one
+ * difference is where a low-locality instruction parks: a FIFO LLIB
+ * that feeds a Memory Processor, or, for a memory op, the Address
+ * Processor's window.
+ *
  * Structure (paper Figures 5-8):
  *   - Cache Processor (CP): the inherited out-of-order core with an
  *     Aging-ROB — entries drain past the Analyze stage a fixed ROB
@@ -25,11 +31,9 @@
 
 #pragma once
 
-#include "src/core/ooo_core.hh"
-#include "src/dkip/checkpoint_stack.hh"
+#include "src/dkip/analyze_core.hh"
 #include "src/dkip/llib.hh"
 #include "src/dkip/llrf.hh"
-#include "src/util/bit_vector.hh"
 
 namespace kilo::dkip
 {
@@ -64,11 +68,9 @@ struct DkipParams
 };
 
 /** The decoupled KILO-instruction processor. */
-class DkipCore : public core::OooCore
+class DkipCore final : public AnalyzeCore
 {
   public:
-    using InstRef = core::InstRef;
-
     DkipCore(const DkipParams &params, wload::Workload &workload,
              const mem::MemConfig &mem_config);
 
@@ -77,39 +79,33 @@ class DkipCore : public core::OooCore
     const Llib &fpLlib() const { return llibFp; }
     const Llrf &intLlrf() const { return llrfInt; }
     const Llrf &fpLlrf() const { return llrfFp; }
-    const CheckpointStack &checkpoints() const { return chkpt; }
-    const BitVector &lowLocalityBits() const { return llbv; }
     /** @} */
 
   protected:
     void tick() override;
-    void onCommitInst(InstRef inst) override;
     void onSquashInst(InstRef inst) override;
-    void onBranchResolved(InstRef inst) override;
-    void onRecovered(InstRef branch) override;
-    int recoveryExtraPenalty(InstRef branch) const override;
     size_t totalReady() const override;
     void beginCycleQueues() override;
-    uint64_t nextTimedWake() const override;
-    core::StallReason
-    refineStallReason(const core::DynInst &head,
-                      core::StallReason r) const override;
-    void saveDerived(ckpt::Sink &s) const override;
-    void restoreDerived(ckpt::Source &s) override;
+    void saveSlowLane(ckpt::Sink &s) const override;
+    void restoreSlowLane(ckpt::Source &s) override;
 
-    void stageAnalyze();
     void stageExtract();
     void stageIssueDecoupled();
 
   private:
-    bool sourcesLongLatency(const core::DynInst &inst) const;
+    friend class AnalyzeCore;
+
+    /**
+     * Analyze's placement: a memory op into the Address Processor's
+     * window, anything else into its LLIB (with an LLRF register when
+     * an operand is already READY). False while the target is full.
+     */
+    bool park(InstRef ref);
     bool hasReadyOperand(const core::DynInst &inst) const;
-    bool insertIntoLlib(InstRef ref);
     void extractFrom(Llib &llib, Llrf &llrf, core::IssueQueue &mpq);
     void trackOccupancy();
 
     DkipParams dprm;
-    BitVector llbv;
 
     Llib llibInt;
     Llib llibFp;
@@ -128,8 +124,6 @@ class DkipCore : public core::OooCore
     core::IssueQueue apQ;
     core::FuPool mpIntFus;
     core::FuPool mpFpFus;
-
-    CheckpointStack chkpt;
 };
 
 } // namespace kilo::dkip

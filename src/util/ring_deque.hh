@@ -4,10 +4,12 @@
  *
  * std::deque allocates and frees block nodes as its ends move, which
  * puts an allocator call on the per-cycle path of every queue that
- * drains and refills (fetch buffer, global order, LSQ, trace window).
- * RingDeque grows geometrically to its high-water mark and never
- * shrinks, so steady-state push/pop traffic touches the heap exactly
- * zero times.
+ * drains and refills (fetch buffer, global order, ROB, LSQ, LLIB,
+ * trace window). RingDeque grows geometrically to its high-water mark
+ * and never shrinks, so steady-state push/pop traffic touches the
+ * heap exactly zero times. It has no capacity limit of its own: a
+ * queue that models a bounded hardware structure holds its capacity
+ * and checks it (Lsq, IssueQueue, the ROB, Llib).
  */
 
 #pragma once

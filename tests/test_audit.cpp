@@ -419,6 +419,44 @@ TEST(AuditSession, ChainSurvivesCheckpointRestore)
     EXPECT_EQ(straight.auditRolling(), dst.auditRolling());
 }
 
+TEST(AuditSession, RollingDigestsMatchKnownAnswers)
+{
+    // Known answers: each rolling digest folds, at every boundary,
+    // the KILOCKPT payload digest (every machine structure in
+    // serialization order) and every registered statistic. A change
+    // to a machine's behaviour, its checkpoint byte layout or its
+    // stats registry moves the value.
+    struct Pin
+    {
+        const char *machine;
+        const char *workload;
+        uint64_t rolling;
+    };
+    const Pin pins[] = {
+        {"r10-64", "mcf", 0x0853de222cd21ae1ull},
+        {"r10-64", "gcc", 0x4e44faaac063fbfbull},
+        {"kilo", "mcf", 0xb926c2312b57f103ull},
+        {"kilo", "gcc", 0x0f284a806fdc04ddull},
+        {"dkip", "mcf", 0x8b3619d0aa31b3d6ull},
+        {"dkip", "gcc", 0x2ea8d012dec93172ull},
+    };
+    sim::RunConfig rc;
+    rc.warmupInsts = 2000;
+    rc.measureInsts = 10000;
+    rc.auditIntervalInsts = 1000;
+    for (const Pin &p : pins) {
+        sim::Session s(sim::MachineConfig::byName(p.machine),
+                       p.workload, mem::MemConfig::mem400(), rc);
+        s.run();
+        sim::RunResult res = s.finish();
+        EXPECT_EQ(res.audit.size(), 10u)
+            << p.machine << "/" << p.workload;
+        EXPECT_EQ(res.auditRolling, p.rolling)
+            << p.machine << "/" << p.workload << std::hex
+            << " rolling 0x" << res.auditRolling;
+    }
+}
+
 // --------------------------------------------------- bisection
 
 TEST(AuditBisect, IdenticalSpecsDoNotDiverge)

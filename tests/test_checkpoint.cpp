@@ -203,6 +203,23 @@ TEST(Checkpoint, TrailingBytesRejected)
     EXPECT_THROW(dst.restore(snap), ckpt::CheckpointError);
 }
 
+/** A checkpoint whose ROB holds more entries than the restoring
+ *  machine's ROB (same name, smaller configuration) is rejected with
+ *  a typed error, not an abort. */
+TEST(Checkpoint, RobLargerThanConfiguredRejected)
+{
+    RunConfig rc = shortRun();
+    MachineConfig machine = MachineConfig::r10_256();
+    Session src(machine, "mcf", mem::MemConfig::mem400(), rc);
+    src.warmup();
+    ckpt::Checkpoint snap = src.checkpoint();
+
+    MachineConfig small = machine;
+    small.cp.robSize = 2;
+    Session dst(small, "mcf", mem::MemConfig::mem400(), rc);
+    EXPECT_THROW(dst.restore(snap), ckpt::CheckpointError);
+}
+
 /** On-disk KILOCKPT round trip is exact. */
 TEST(Checkpoint, FileRoundTripBitIdentical)
 {

@@ -2,11 +2,15 @@
  * @file
  * Unit tests for the core building blocks: scoreboard, functional
  * unit pool, issue queue (both policies) and LSQ, driven through
- * arena-allocated instructions.
+ * arena-allocated instructions, and the LSQ's rejection of a
+ * checkpoint that does not fit it.
  */
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
+#include "src/ckpt/serial.hh"
 #include "src/core/fu_pool.hh"
 #include "src/core/inst_arena.hh"
 #include "src/core/issue_queue.hh"
@@ -520,4 +524,30 @@ TEST(Lsq, ForwardCounter)
     EXPECT_EQ(lsq.forwards(), 0u);
     lsq.countForward();
     EXPECT_EQ(lsq.forwards(), 1u);
+}
+
+TEST(Lsq, CheckpointLargerThanCapacityRejected)
+{
+    Arena ar;
+    Lsq big(8, ar.arena);
+    for (uint64_t seq = 1; seq <= 3; ++seq)
+        big.insert(ar.loadAt(seq, 0x100 * seq));
+    ckpt::Sink image;
+    big.save(image);
+
+    Lsq small(2, ar.arena);
+    ckpt::Source src(image.data());
+    EXPECT_THROW(small.load(src), ckpt::CheckpointError);
+}
+
+TEST(Lsq, CheckpointWithWrongBucketCountRejected)
+{
+    Arena ar;
+    ckpt::Sink image;
+    image.podVector(std::vector<InstRef>{});  // entries
+    image.podVector(std::vector<InstRef>(3)); // store-index buckets
+    image.scalar(uint64_t(0));                // forwards
+    Lsq lsq(8, ar.arena);
+    ckpt::Source src(image.data());
+    EXPECT_THROW(lsq.load(src), ckpt::CheckpointError);
 }

@@ -205,6 +205,25 @@ TEST(Llib, SquashRemovesYoungest)
     EXPECT_EQ(q.front(), a);
 }
 
+TEST(Llib, CheckpointLargerThanCapacityRejected)
+{
+    Arena ar;
+    Llib big("big", 4, ar.arena);
+    for (uint64_t seq = 1; seq <= 3; ++seq)
+        big.push(ar.inst(seq));
+    ckpt::Sink image;
+    big.save(image);
+
+    Llib fits("fits", 3, ar.arena);
+    ckpt::Source ok(image.data());
+    fits.load(ok);
+    EXPECT_EQ(fits.size(), 3u);
+
+    Llib small("small", 2, ar.arena);
+    ckpt::Source src(image.data());
+    EXPECT_THROW(small.load(src), ckpt::CheckpointError);
+}
+
 // ------------------------------------------------ CheckpointStack
 
 TEST(CheckpointStack, PushFindResolve)
@@ -252,6 +271,20 @@ TEST(CheckpointStack, CapacityEnforced)
     cs.push(1, bv);
     cs.push(2, bv);
     EXPECT_TRUE(cs.full());
+}
+
+TEST(CheckpointStack, CheckpointLargerThanCapacityRejected)
+{
+    CheckpointStack big(4);
+    BitVector bv(4);
+    for (uint64_t seq = 1; seq <= 3; ++seq)
+        big.push(seq, bv);
+    ckpt::Sink image;
+    big.save(image);
+
+    CheckpointStack small(2);
+    ckpt::Source src(image.data());
+    EXPECT_THROW(small.load(src), ckpt::CheckpointError);
 }
 
 // --------------------------------------------------- DkipCore e2e

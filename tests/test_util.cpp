@@ -1,7 +1,7 @@
 /**
  * @file
- * Unit tests for the utility layer: circular buffer, bit vector,
- * event wheel, histogram, free list, RNG and the number parser.
+ * Unit tests for the utility layer: ring deque, bit vector,
+ * event wheel, histogram, free list, RNG and the number parsers.
  */
 
 #include <gtest/gtest.h>
@@ -10,11 +10,11 @@
 
 #include "src/ckpt/serial.hh"
 #include "src/util/bit_vector.hh"
-#include "src/util/circular_buffer.hh"
 #include "src/util/event_wheel.hh"
 #include "src/util/free_list.hh"
 #include "src/util/histogram.hh"
 #include "src/util/parse.hh"
+#include "src/util/ring_deque.hh"
 #include "src/util/rng.hh"
 
 using namespace kilo;
@@ -67,6 +67,53 @@ TEST(ParseU64Death, BadFlagValueExitsWithUsageStatus)
                                    UINT32_MAX),
                 ::testing::ExitedWithCode(2), "up to 4294967295");
     EXPECT_EQ(util::parseFlagU64("--ops", "1000"), 1000u);
+}
+
+// ----------------------------------------------------------- parseF64
+
+TEST(ParseF64, WholeStringFiniteOrNothing)
+{
+    struct Case
+    {
+        const char *text;
+        std::optional<double> want;
+    };
+    const Case cases[] = {
+        // Rejected: what bare strtod reads as 0, truncates or reads
+        // as a non-finite value.
+        {"", std::nullopt},
+        {"abc", std::nullopt},
+        {"2.0x", std::nullopt},
+        {"2%", std::nullopt},
+        {" 2", std::nullopt},
+        {"2 ", std::nullopt},
+        {"inf", std::nullopt},
+        {"-inf", std::nullopt},
+        {"nan", std::nullopt},
+        {"1e999", std::nullopt},
+        // Accepted.
+        {"0", 0.0},
+        {"2", 2.0},
+        {"2.5", 2.5},
+        {"-0.25", -0.25},
+        {"+1.5", 1.5},
+        {"1e-3", 1e-3},
+        {".5", 0.5},
+    };
+    for (const Case &c : cases)
+        EXPECT_EQ(util::parseF64(c.text), c.want) << "'" << c.text << "'";
+}
+
+TEST(ParseF64Death, BadFlagValueExitsWithUsageStatus)
+{
+    EXPECT_EXIT(util::parseFlagF64("--check-max-err", "abc"),
+                ::testing::ExitedWithCode(2),
+                "--check-max-err needs a finite number, got 'abc'");
+    EXPECT_EXIT(util::parseFlagF64("--max-regress", ""),
+                ::testing::ExitedWithCode(2), "--max-regress");
+    EXPECT_EXIT(util::parseFlagF64("--check-min-speedup", "nan"),
+                ::testing::ExitedWithCode(2), "--check-min-speedup");
+    EXPECT_EQ(util::parseFlagF64("--check-max-err", "2.0"), 2.0);
 }
 
 // ---------------------------------------------------------------- Rng
@@ -134,94 +181,129 @@ TEST(Rng, ZeroSeedRemapped)
     EXPECT_NE(r.next(), 0u);
 }
 
-// --------------------------------------------------- CircularBuffer
+// -------------------------------------------------------- RingDeque
 
-TEST(CircularBuffer, StartsEmpty)
+TEST(RingDeque, StartsEmptyWithPowerOfTwoCapacity)
 {
-    CircularBuffer<int> cb(4);
-    EXPECT_TRUE(cb.empty());
-    EXPECT_FALSE(cb.full());
-    EXPECT_EQ(cb.size(), 0u);
-    EXPECT_EQ(cb.capacity(), 4u);
-    EXPECT_EQ(cb.space(), 4u);
+    RingDeque<int> rd(3);
+    EXPECT_TRUE(rd.empty());
+    EXPECT_EQ(rd.size(), 0u);
+    EXPECT_EQ(rd.capacity(), 4u);
 }
 
-TEST(CircularBuffer, FifoOrder)
+TEST(RingDeque, FifoOrder)
 {
-    CircularBuffer<int> cb(4);
-    cb.pushBack(1);
-    cb.pushBack(2);
-    cb.pushBack(3);
-    EXPECT_EQ(cb.popFront(), 1);
-    EXPECT_EQ(cb.popFront(), 2);
-    EXPECT_EQ(cb.popFront(), 3);
-}
-
-TEST(CircularBuffer, FullAfterCapacityPushes)
-{
-    CircularBuffer<int> cb(2);
-    cb.pushBack(1);
-    cb.pushBack(2);
-    EXPECT_TRUE(cb.full());
-    EXPECT_EQ(cb.space(), 0u);
-}
-
-TEST(CircularBuffer, WrapAround)
-{
-    CircularBuffer<int> cb(3);
-    for (int round = 0; round < 10; ++round) {
-        cb.pushBack(round);
-        EXPECT_EQ(cb.popFront(), round);
+    RingDeque<int> rd(4);
+    rd.push_back(1);
+    rd.push_back(2);
+    rd.push_back(3);
+    for (int want : {1, 2, 3}) {
+        EXPECT_EQ(rd.front(), want);
+        rd.pop_front();
     }
-    EXPECT_TRUE(cb.empty());
+    EXPECT_TRUE(rd.empty());
 }
 
-TEST(CircularBuffer, PopBackRemovesYoungest)
+TEST(RingDeque, WrapAroundKeepsCapacity)
 {
-    CircularBuffer<int> cb(4);
-    cb.pushBack(1);
-    cb.pushBack(2);
-    cb.pushBack(3);
-    EXPECT_EQ(cb.popBack(), 3);
-    EXPECT_EQ(cb.back(), 2);
-    EXPECT_EQ(cb.front(), 1);
+    RingDeque<int> rd(4);
+    for (int round = 0; round < 10; ++round) {
+        rd.push_back(round);
+        rd.push_back(round + 100);
+        EXPECT_EQ(rd.front(), round);
+        rd.pop_front();
+        EXPECT_EQ(rd.front(), round + 100);
+        rd.pop_front();
+    }
+    EXPECT_TRUE(rd.empty());
+    EXPECT_EQ(rd.capacity(), 4u);
 }
 
-TEST(CircularBuffer, PositionalAccess)
+TEST(RingDeque, PopBackRemovesYoungest)
 {
-    CircularBuffer<int> cb(4);
-    cb.pushBack(10);
-    cb.pushBack(20);
-    cb.pushBack(30);
-    cb.popFront();
-    cb.pushBack(40);
-    EXPECT_EQ(cb.at(0), 20);
-    EXPECT_EQ(cb.at(1), 30);
-    EXPECT_EQ(cb.at(2), 40);
+    RingDeque<int> rd(4);
+    rd.push_back(1);
+    rd.push_back(2);
+    rd.push_back(3);
+    rd.pop_back();
+    EXPECT_EQ(rd.size(), 2u);
+    EXPECT_EQ(rd.back(), 2);
+    EXPECT_EQ(rd.front(), 1);
 }
 
-TEST(CircularBuffer, ClearEmpties)
+TEST(RingDeque, PositionalAccessAcrossTheSeam)
 {
-    CircularBuffer<int> cb(4);
-    cb.pushBack(1);
-    cb.pushBack(2);
-    cb.clear();
-    EXPECT_TRUE(cb.empty());
-    cb.pushBack(9);
-    EXPECT_EQ(cb.front(), 9);
+    RingDeque<int> rd(4);
+    for (int v : {10, 20, 30, 40})
+        rd.push_back(v);
+    rd.pop_front();
+    rd.pop_front();
+    rd.push_back(50);
+    rd.push_back(60); // stored at ring slots 0 and 1
+    EXPECT_EQ(rd.capacity(), 4u);
+    const int want[] = {30, 40, 50, 60};
+    for (size_t i = 0; i < 4; ++i)
+        EXPECT_EQ(rd[i], want[i]) << "position " << i;
 }
 
-TEST(CircularBufferDeath, OverflowPanics)
+TEST(RingDeque, ClearEmpties)
 {
-    CircularBuffer<int> cb(1);
-    cb.pushBack(1);
-    EXPECT_DEATH(cb.pushBack(2), "full");
+    RingDeque<int> rd(4);
+    rd.push_back(1);
+    rd.push_back(2);
+    rd.clear();
+    EXPECT_TRUE(rd.empty());
+    rd.push_back(9);
+    EXPECT_EQ(rd.front(), 9);
 }
 
-TEST(CircularBufferDeath, UnderflowPanics)
+TEST(RingDeque, GrowsPastInitialCapacityInOrder)
 {
-    CircularBuffer<int> cb(1);
-    EXPECT_DEATH(cb.popFront(), "empty");
+    // Start the head mid-ring so the contents wrap when the ring
+    // doubles: growth must relinearise them oldest-first.
+    RingDeque<int> rd(4);
+    rd.push_back(-1);
+    rd.push_back(-2);
+    rd.pop_front();
+    rd.pop_front();
+    for (int v = 0; v < 11; ++v)
+        rd.push_back(v);
+    EXPECT_EQ(rd.capacity(), 16u);
+    ASSERT_EQ(rd.size(), 11u);
+    for (size_t i = 0; i < 11; ++i)
+        EXPECT_EQ(rd[i], int(i)) << "position " << i;
+    EXPECT_EQ(rd.back(), 10);
+}
+
+TEST(RingDeque, SerializesHeadFirstAsAPodVector)
+{
+    // The image is the logical contents, oldest first, whatever the
+    // ring layout: the ROB and LLIB checkpoint bytes depend on it.
+    RingDeque<uint32_t> rd(4);
+    for (uint32_t v : {7u, 8u, 9u, 10u})
+        rd.push_back(v);
+    rd.pop_front();
+    rd.push_back(11); // wraps to ring slot 0
+    ckpt::Sink got;
+    rd.save(got);
+    ckpt::Sink want;
+    want.podVector(std::vector<uint32_t>{8, 9, 10, 11});
+    EXPECT_EQ(got.data(), want.data());
+
+    RingDeque<uint32_t> back(2);
+    ckpt::Source src(got.data());
+    back.load(src);
+    ASSERT_EQ(back.size(), 4u);
+    for (size_t i = 0; i < 4; ++i)
+        EXPECT_EQ(back[i], rd[i]);
+}
+
+TEST(RingDequeDeath, UnderflowPanics)
+{
+    RingDeque<int> rd(1);
+    EXPECT_DEATH(rd.pop_front(), "empty");
+    EXPECT_DEATH(rd.pop_back(), "empty");
+    EXPECT_DEATH((void)rd.front(), "empty");
 }
 
 // ------------------------------------------------------- BitVector

@@ -40,6 +40,8 @@
 #include <string>
 #include <vector>
 
+#include "src/util/parse.hh"
+
 namespace
 {
 
@@ -213,7 +215,8 @@ main(int argc, char **argv)
         if (arg == "--max-regress") {
             if (++i >= argc)
                 return usage();
-            max_regress = std::strtod(argv[i], nullptr);
+            max_regress =
+                kilo::util::parseFlagF64("--max-regress", argv[i]);
         } else if (arg == "--metric") {
             if (++i >= argc)
                 return usage();

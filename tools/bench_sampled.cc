@@ -126,9 +126,10 @@ main(int argc, char **argv)
         else if (arg == "--json")
             opt.jsonPath = value();
         else if (arg == "--check-max-err")
-            opt.checkMaxErr = std::strtod(value(), nullptr);
+            opt.checkMaxErr = util::parseFlagF64(arg.c_str(), value());
         else if (arg == "--check-min-speedup")
-            opt.checkMinSpeedup = std::strtod(value(), nullptr);
+            opt.checkMinSpeedup =
+                util::parseFlagF64(arg.c_str(), value());
         else
             return usage(argv[0]);
     }
