@@ -4,7 +4,7 @@
  * cache/hierarchy lookups, perceptron prediction, arena recycling,
  * issue-queue operations, LLIB/LLRF traffic, workload generation,
  * whole-core simulation throughput (simulated instructions per
- * second) and suite-level sweep throughput.
+ * second), checkpoint restore and suite-level sweep throughput.
  *
  * Run with --benchmark_format=json for the machine-readable rows the
  * CI harness archives.
@@ -23,6 +23,7 @@
 #include "src/mem/hierarchy.hh"
 #include "src/mem/mshr.hh"
 #include "src/pred/perceptron.hh"
+#include "src/sim/session.hh"
 #include "src/sim/simulator.hh"
 #include "src/sim/sweep.hh"
 #include "src/sim/sweep_engine.hh"
@@ -326,6 +327,34 @@ BM_DkipCore100kRun(benchmark::State &state)
     state.SetItemsProcessed(int64_t(state.iterations()) * 120000);
 }
 BENCHMARK(BM_DkipCore100kRun)->Unit(benchmark::kMillisecond);
+
+/** Restore of a D-KIP-2048/mcf checkpoint taken Arg ops into the run
+ *  (an early and a late image). The restoring Session has restored
+ *  the image once before timing starts, as a bisect's second restore
+ *  would find it, so its workload's snapshot index covers the image:
+ *  the cost should not depend on Arg. */
+void
+BM_SessionRestore(benchmark::State &state)
+{
+    sim::RunConfig rc;
+    rc.warmupInsts = 10000;
+    rc.measureInsts = 2000000;
+    const auto machine = sim::MachineConfig::dkip2048();
+    sim::Session live(machine, "mcf", mem::MemConfig::mem400(), rc);
+    live.warmup();
+    live.runFor(uint64_t(state.range(0)) - rc.warmupInsts);
+    const ckpt::Checkpoint image = live.checkpoint();
+
+    sim::Session replay(machine, "mcf", mem::MemConfig::mem400(), rc);
+    replay.restore(image);
+    for (auto _ : state)
+        replay.restore(image);
+    state.SetItemsProcessed(int64_t(state.iterations()));
+}
+BENCHMARK(BM_SessionRestore)
+    ->Arg(60000)
+    ->Arg(1000000)
+    ->Unit(benchmark::kMicrosecond);
 
 /** Suite sweep through the SweepEngine at an explicit thread count
  *  (Arg). Compare Arg=1 against Arg=4 for the parallel speedup. */

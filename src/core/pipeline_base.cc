@@ -1,6 +1,7 @@
 #include "src/core/pipeline_base.hh"
 
 #include <algorithm>
+#include <string>
 
 #include "src/util/logging.hh"
 
@@ -721,7 +722,7 @@ PipelineBase::restoreState(ckpt::Source &s)
     now = s.scalar<uint64_t>();
     lastCommitCycle = s.scalar<uint64_t>();
     st.load(s);
-    trace.load(s);
+    const wload::TraceWindow::Span window = trace.loadSpan(s);
     fetchEngine.load(s);
     bp->load(s);
     arena.load(s);
@@ -733,6 +734,15 @@ PipelineBase::restoreState(ckpt::Source &s)
     fetchBuffer.load(s);
     dbgFlipDone = s.scalar<uint8_t>() != 0;
     restoreDerived(s);
+    // Regenerate the window last, once every structure has parsed and
+    // the fetch point the saved span must bracket is known.
+    if (!trace.restoreSpan(window, fetchEngine.nextSeq()))
+        throw ckpt::CheckpointError(
+            "checkpoint trace window [" + std::to_string(window.base) +
+            ", +" + std::to_string(window.count) +
+            ") does not hold fetch point " +
+            std::to_string(fetchEngine.nextSeq()) + " or exceeds " +
+            std::to_string(wload::TraceWindow::MaxSpan) + " ops");
 
     // Scratch state is clear-at-use but clear it anyway so a restore
     // into a mid-cycle-abandoned core cannot leak stale handles.

@@ -162,8 +162,12 @@ class PipelineBase
      * cycle, statistics, arena, hierarchy, predictor, every queue —
      * in a fixed order. The workload stream position is stored as a
      * sequence number, not stream bytes: restoreState() repositions
-     * the (deterministic) workload via reset + skip. Restoring and
-     * continuing is bit-identical to never having paused (pinned by
+     * the (deterministic) workload via reset + skip, last, after
+     * checking the saved window against the restored fetch point.
+     * Seekable workloads (synthetic via its snapshot index, trace
+     * replay by block) make that cost independent of how far into
+     * the run the image was taken. Restoring and continuing is
+     * bit-identical to never having paused (pinned by
      * tests/test_checkpoint.cpp). @{
      */
     void saveState(ckpt::Sink &s) const;

@@ -1,6 +1,7 @@
 #include "src/wload/synthetic.hh"
 
 #include <algorithm>
+#include <iterator>
 #include <utility>
 
 #include "src/util/logging.hh"
@@ -24,17 +25,18 @@ constexpr int16_t IndepRegCount = 8;
 } // anonymous namespace
 
 SyntheticWorkload::SyntheticWorkload(const WorkloadProfile &profile)
-    : prof(profile), rng(profile.seed), newestLoadReg(DepRegBase)
+    : prof(profile)
 {
     KILO_ASSERT(prof.streamLoads == 0 || prof.numStreams > 0,
                 "stream loads require at least one stream");
+    KILO_ASSERT(prof.numStreams <= MaxStreams,
+                "at most %d streams fit the address map", MaxStreams);
     KILO_ASSERT(prof.chaseLoads == 0 || prof.chaseBytes >= 64 * 64,
                 "chase region too small");
     KILO_ASSERT(prof.randLoads == 0 || prof.randBytes >= 64,
                 "random region too small");
 
     buildChaseChain();
-    streamPos.assign(size_t(std::max(prof.numStreams, 1)), 0);
 
     int loads = prof.chaseLoads + prof.streamLoads + prof.randLoads +
         (prof.farEvery > 0 ? 1 : 0);
@@ -47,8 +49,10 @@ SyntheticWorkload::SyntheticWorkload(const WorkloadProfile &profile)
         + prof.condBranches
         + 1;                                              // loop-back
 
-    newestLoadReg = int16_t((prof.fp ? isa::FirstFpReg : 0) +
-                            LoadRegBase);
+    start.rng.seed(prof.seed);
+    start.newestLoadReg = int16_t((prof.fp ? isa::FirstFpReg : 0) +
+                                  LoadRegBase);
+    cur = start;
 }
 
 void
@@ -67,7 +71,6 @@ SyntheticWorkload::buildChaseChain()
         uint32_t j = uint32_t(chain_rng.range(i));
         std::swap(chain[i], chain[j]);
     }
-    chaseNode = 0;
 }
 
 uint64_t
@@ -91,8 +94,8 @@ SyntheticWorkload::nextLoadReg()
 {
     int16_t base = int16_t((prof.fp ? isa::FirstFpReg : 0) +
                            LoadRegBase);
-    int16_t reg = int16_t(base + loadRegIdx);
-    loadRegIdx = (loadRegIdx + 1) % LoadRegCount;
+    int16_t reg = int16_t(base + cur.loadRegIdx);
+    cur.loadRegIdx = (cur.loadRegIdx + 1) % LoadRegCount;
     return reg;
 }
 
@@ -101,8 +104,8 @@ SyntheticWorkload::nextComputeReg()
 {
     int16_t base = int16_t((prof.fp ? isa::FirstFpReg : 0) +
                            DepRegBase);
-    int16_t reg = int16_t(base + computeRegIdx);
-    computeRegIdx = (computeRegIdx + 1) % DepRegCount;
+    int16_t reg = int16_t(base + cur.computeRegIdx);
+    cur.computeRegIdx = (cur.computeRegIdx + 1) % DepRegCount;
     return reg;
 }
 
@@ -134,6 +137,10 @@ SyntheticWorkload::emitDepCompute(int16_t loaded_reg, int &slot)
 void
 SyntheticWorkload::emitIteration()
 {
+    // Called only with nothing pending: an iteration boundary.
+    if (cur.emitted >= nextSnapshotAt)
+        recordSnapshot();
+
     int slot = 0;
     const int16_t fp_base = prof.fp ? isa::FirstFpReg : 0;
     const int16_t indep_base = int16_t(fp_base + IndepRegBase);
@@ -146,31 +153,32 @@ SyntheticWorkload::emitIteration()
 
     // 2. Pointer chase: serial dependent loads.
     bool do_chase = prof.chaseLoads > 0 &&
-        (prof.chaseEvery <= 1 || iter % uint64_t(prof.chaseEvery) == 0);
+        (prof.chaseEvery <= 1 ||
+         cur.iter % uint64_t(prof.chaseEvery) == 0);
     for (int c = 0; c < prof.chaseLoads; ++c) {
         if (do_chase) {
-            uint64_t addr = chaseBase + uint64_t(chaseNode) * 64;
+            uint64_t addr = chaseBase + uint64_t(cur.chaseNode) * 64;
             bool restart = prof.chaseChainLen > 0 &&
-                chaseSteps >= prof.chaseChainLen;
+                cur.chaseSteps >= prof.chaseChainLen;
             if (restart) {
                 // Start a fresh traversal at an independent node:
                 // the load's address comes from the (ready) induction
                 // register, so successive chains overlap in a large
                 // window instead of forming one endless serial chain.
                 uint32_t nodes = uint32_t(chain.size());
-                chaseNode = uint32_t(rng.range(nodes));
-                addr = chaseBase + uint64_t(chaseNode) * 64;
+                cur.chaseNode = uint32_t(cur.rng.range(nodes));
+                addr = chaseBase + uint64_t(cur.chaseNode) * 64;
                 pending.push_back(isa::makeLoad(
                     ChaseReg, InductionReg, addr, slotPc(slot)));
-                chaseSteps = 0;
+                cur.chaseSteps = 0;
             } else {
                 pending.push_back(isa::makeLoad(ChaseReg, ChaseReg,
                                                 addr, slotPc(slot)));
-                ++chaseSteps;
+                ++cur.chaseSteps;
             }
-            chaseNode = chain[chaseNode];
+            cur.chaseNode = chain[cur.chaseNode];
             ++slot;
-            newestLoadReg = ChaseReg;
+            cur.newestLoadReg = ChaseReg;
             emitDepCompute(ChaseReg, slot);
         } else {
             slot += 1 + prof.depComputePerLoad;
@@ -181,25 +189,27 @@ SyntheticWorkload::emitIteration()
     for (int s = 0; s < prof.streamLoads; ++s) {
         int stream = prof.numStreams ? (s % prof.numStreams) : 0;
         uint64_t addr = streamBase +
-            uint64_t(stream) * streamSpacing + streamPos[stream];
-        streamPos[stream] =
-            (streamPos[stream] + prof.streamStride) % prof.streamBytes;
+            uint64_t(stream) * streamSpacing + cur.streamPos[stream];
+        cur.streamPos[stream] =
+            (cur.streamPos[stream] + prof.streamStride) %
+            prof.streamBytes;
         int16_t dst = nextLoadReg();
         pending.push_back(isa::makeLoad(dst, InductionReg, addr,
                                         slotPc(slot)));
         ++slot;
-        newestLoadReg = dst;
+        cur.newestLoadReg = dst;
         emitDepCompute(dst, slot);
     }
 
     // 4. Random-access loads.
     for (int r = 0; r < prof.randLoads; ++r) {
-        uint64_t addr = randBase + (rng.range(prof.randBytes) & ~7ull);
+        uint64_t addr =
+            randBase + (cur.rng.range(prof.randBytes) & ~7ull);
         int16_t dst = nextLoadReg();
         pending.push_back(isa::makeLoad(dst, InductionReg, addr,
                                         slotPc(slot)));
         ++slot;
-        newestLoadReg = dst;
+        cur.newestLoadReg = dst;
         emitDepCompute(dst, slot);
     }
 
@@ -207,18 +217,18 @@ SyntheticWorkload::emitIteration()
     //     miss chains.
     for (int g = 0; g < prof.indirectLoads; ++g) {
         uint64_t idx_addr =
-            randBase + (rng.range(prof.randBytes) & ~7ull);
+            randBase + (cur.rng.range(prof.randBytes) & ~7ull);
         int16_t idx_dst = nextLoadReg();
         pending.push_back(isa::makeLoad(idx_dst, InductionReg,
                                         idx_addr, slotPc(slot)));
         ++slot;
         uint64_t dat_addr =
-            randBase + (rng.range(prof.randBytes) & ~7ull);
+            randBase + (cur.rng.range(prof.randBytes) & ~7ull);
         int16_t dat_dst = nextLoadReg();
         pending.push_back(isa::makeLoad(dat_dst, idx_dst, dat_addr,
                                         slotPc(slot)));
         ++slot;
-        newestLoadReg = dat_dst;
+        cur.newestLoadReg = dat_dst;
         emitDepCompute(dat_dst, slot);
     }
 
@@ -226,14 +236,14 @@ SyntheticWorkload::emitIteration()
     //     cacheable footprint.
     bool far_iter = false;
     if (prof.farEvery > 0) {
-        if (iter % uint64_t(prof.farEvery) == 0) {
+        if (cur.iter % uint64_t(prof.farEvery) == 0) {
             far_iter = true;
             uint64_t addr =
-                farBase + (rng.range(prof.farBytes) & ~7ull);
+                farBase + (cur.rng.range(prof.farBytes) & ~7ull);
             int16_t dst = nextLoadReg();
             pending.push_back(isa::makeLoad(dst, InductionReg, addr,
                                             slotPc(slot)));
-            newestLoadReg = dst;
+            cur.newestLoadReg = dst;
             ++slot;
             emitDepCompute(dst, slot);
         } else {
@@ -246,8 +256,8 @@ SyntheticWorkload::emitIteration()
     //    code keeps high execution locality and plenty of ILP.
     for (int i = 0; i < prof.indepCompute; ++i) {
         int16_t dst =
-            int16_t(indep_base + (indepRegIdx % IndepRegCount));
-        ++indepRegIdx;
+            int16_t(indep_base + (cur.indepRegIdx % IndepRegCount));
+        ++cur.indepRegIdx;
         isa::MicroOp op;
         if (prof.fp) {
             op = (i % 2 == 0)
@@ -262,7 +272,7 @@ SyntheticWorkload::emitIteration()
 
     // 6. Occasional FP divide (unpipelined unit pressure).
     if (prof.fpDivEvery > 0) {
-        if (iter % uint64_t(prof.fpDivEvery) == 0) {
+        if (cur.iter % uint64_t(prof.fpDivEvery) == 0) {
             int16_t dst = int16_t(indep_base);
             pending.push_back(isa::makeFpDiv(dst, dst,
                                              int16_t(indep_base + 1),
@@ -273,9 +283,9 @@ SyntheticWorkload::emitIteration()
 
     // 7. Occasional store to an output stream.
     if (prof.storeEvery > 0) {
-        if (iter % uint64_t(prof.storeEvery) == 0) {
-            uint64_t addr = storeBase + storePos;
-            storePos = (storePos + 64) % storeRegionBytes();
+        if (cur.iter % uint64_t(prof.storeEvery) == 0) {
+            uint64_t addr = storeBase + cur.storePos;
+            cur.storePos = (cur.storePos + 64) % storeRegionBytes();
             int16_t data = int16_t(fp_base + DepRegBase);
             pending.push_back(isa::makeStore(InductionReg, data, addr,
                                              slotPc(slot)));
@@ -292,17 +302,18 @@ SyntheticWorkload::emitIteration()
         if (far_iter && b == 0 && prof.branchOnLoad)
             rand_frac = std::min(1.0, rand_frac * 2.5);
         bool taken;
-        if (rng.chance(rand_frac)) {
-            taken = rng.chance(prof.takenBias);
+        if (cur.rng.chance(rand_frac)) {
+            taken = cur.rng.chance(prof.takenBias);
         } else {
             // Learnable short pattern: mostly taken with a periodic
             // not-taken pulse per static branch.
-            taken = ((iter + uint64_t(b) * 5) % 16) != 0;
+            taken = ((cur.iter + uint64_t(b) * 5) % 16) != 0;
         }
         bool on_load = (far_iter && b == 0 && prof.branchOnLoad) ||
-            (prof.branchOnLoad && rng.chance(prof.branchOnLoadFrac));
+            (prof.branchOnLoad &&
+             cur.rng.chance(prof.branchOnLoadFrac));
         int16_t src = on_load
-            ? newestLoadReg
+            ? cur.newestLoadReg
             : int16_t(indep_base + (b % IndepRegCount));
         // Conditional branches are modelled as non-taken-path
         // fall-throughs so the fetch template stays linear.
@@ -315,11 +326,29 @@ SyntheticWorkload::emitIteration()
     // 9. Loop-back branch: strongly biased taken, exits the inner
     //    loop every innerLoopLen iterations.
     bool back_taken = prof.innerLoopLen == 0 ||
-        (iter % prof.innerLoopLen) != prof.innerLoopLen - 1;
+        (cur.iter % prof.innerLoopLen) != prof.innerLoopLen - 1;
     pending.push_back(isa::makeBranch(InductionReg, back_taken,
                                       kernelPcBase, slotPc(slot)));
 
-    ++iter;
+    ++cur.iter;
+    cur.emitted += pending.size();
+}
+
+void
+SyntheticWorkload::recordSnapshot()
+{
+    snapshots.push_back(cur);
+    if (snapshots.size() == SnapshotCapacity) {
+        // Keep the odd entries (the ones at the even multiples of the
+        // old stride, when iterations are shorter than it) and the
+        // newest: capacity is even, so index SnapshotCapacity-1 stays.
+        size_t kept = 0;
+        for (size_t i = 1; i < snapshots.size(); i += 2)
+            snapshots[kept++] = snapshots[i];
+        snapshots.resize(kept);
+        stride *= 2;
+    }
+    nextSnapshotAt = (cur.emitted / stride + 1) * stride;
 }
 
 isa::MicroOp
@@ -353,21 +382,36 @@ SyntheticWorkload::nextBlock(isa::MicroOp *out, size_t n)
 }
 
 void
+SyntheticWorkload::skip(uint64_t n)
+{
+    uint64_t pos = cur.emitted - pending.size();
+    uint64_t target = pos + n;
+    // The latest snapshot in (pos, target]: jumping there is exact,
+    // because a snapshot is the whole mutable state at an iteration
+    // boundary, where nothing is pending.
+    auto after = std::upper_bound(
+        snapshots.begin(), snapshots.end(), target,
+        [](uint64_t t, const Cursor &c) { return t < c.emitted; });
+    if (after != snapshots.begin() && std::prev(after)->emitted > pos) {
+        cur = *std::prev(after);
+        pending.clear();
+        pos = cur.emitted;
+    }
+    // Generate and discard the rest, whole iterations at a time.
+    uint64_t rest = target - pos;
+    while (rest > pending.size()) {
+        rest -= pending.size();
+        pending.clear();
+        emitIteration();
+    }
+    pending.erase(pending.begin(), pending.begin() + long(rest));
+}
+
+void
 SyntheticWorkload::reset()
 {
-    rng.seed(prof.seed);
+    cur = start;
     pending.clear();
-    for (auto &p : streamPos)
-        p = 0;
-    storePos = 0;
-    iter = 0;
-    loadRegIdx = 0;
-    computeRegIdx = 0;
-    indepRegIdx = 0;
-    chaseNode = 0;
-    chaseSteps = 0;
-    newestLoadReg = int16_t((prof.fp ? isa::FirstFpReg : 0) +
-                            LoadRegBase);
 }
 
 std::vector<AddressRegion>

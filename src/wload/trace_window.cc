@@ -56,4 +56,34 @@ TraceWindow::jumpTo(uint64_t seq)
     baseSeq = seq;
 }
 
+bool
+TraceWindow::restoreSpan(const Span &span, uint64_t fetch_seq)
+{
+    if (span.count > MaxSpan || fetch_seq < span.base ||
+        fetch_seq - span.base > span.count)
+        return false;
+    buf.clear();
+    baseSeq = span.base;
+    workload.reset();
+    workload.skip(span.base);
+    // Re-pull EXACTLY count ops, not op()'s batch-rounded refill,
+    // whose read-ahead overshoot depends on how the live window's
+    // pulls happened to align. The frontier is part of the
+    // serialized state, so a restore must land on the same one or
+    // re-checkpointing (and the audit plane's state digests) would
+    // differ from the run it resumed.
+    isa::MicroOp batch[RefillBatch];
+    for (uint64_t need = span.count; need;) {
+        size_t want = need < RefillBatch ? size_t(need) : RefillBatch;
+        size_t got = workload.nextBlock(batch, want);
+        KILO_ASSERT(got > 0 && got <= want,
+                    "TraceWindow: workload under-ran its own "
+                    "checkpointed span");
+        for (size_t i = 0; i < got; ++i)
+            buf.push_back(batch[i]);
+        need -= got;
+    }
+    return true;
+}
+
 } // namespace kilo::wload

@@ -58,48 +58,63 @@ class TraceWindow
     void jumpTo(uint64_t seq);
 
     /**
+     * Most ops a live window buffers. Every buffered op is in flight
+     * (each holds an instruction slot, bounded by the machine's ROB,
+     * queues and slow-lane buffers: a few thousand on the largest
+     * modelled machine), was squashed but not yet released, or is
+     * part of one refill's read-ahead. No live window comes near
+     * 2^20; save() checks it, and a restore rejects a larger count
+     * before buffering anything.
+     */
+    static constexpr uint64_t MaxSpan = uint64_t(1) << 20;
+
+    /** The saved window position: base and buffered op count. */
+    struct Span
+    {
+        uint64_t base = 0;
+        uint64_t count = 0;
+    };
+
+    /**
      * Serialize / restore the window position. Buffered ops are NOT
-     * stored: the stream is deterministic, so load() repositions the
-     * workload (reset + skip) and re-pulls the buffered span —
-     * byte-for-byte the ops the saved window held. @{
+     * stored: the stream is deterministic, so restoreSpan()
+     * repositions the workload (reset + skip) and re-pulls the
+     * buffered span, byte-for-byte the ops the saved window held.
+     * Restoring is two steps. loadSpan() only reads the position.
+     * restoreSpan() runs once the fetch point has been restored,
+     * which the span must bracket, so a corrupt position is refused
+     * before a single op is generated. A synthetic workload serves
+     * the skip from its snapshot index (once it has run past the
+     * base) and trace replay jumps whole blocks, so the cost follows
+     * the span, not the base. @{
      */
     template <typename Sink>
     void
     save(Sink &s) const
     {
+        KILO_ASSERT(buf.size() <= MaxSpan,
+                    "TraceWindow: %lu buffered ops exceed MaxSpan",
+                    (unsigned long)buf.size());
         s.template scalar<uint64_t>(baseSeq);
         s.template scalar<uint64_t>(buf.size());
     }
 
     template <typename Source>
-    void
-    load(Source &s)
+    static Span
+    loadSpan(Source &s)
     {
-        uint64_t base = s.template scalar<uint64_t>();
-        uint64_t count = s.template scalar<uint64_t>();
-        buf.clear();
-        baseSeq = base;
-        workload.reset();
-        workload.skip(base);
-        // Re-pull EXACTLY count ops — not op()'s batch-rounded
-        // refill, whose read-ahead overshoot depends on how the live
-        // window's pulls happened to align. The frontier is part of
-        // the serialized state, so a restore must land on the same
-        // one or re-checkpointing (and the audit plane's state
-        // digests) would differ from the run it resumed.
-        isa::MicroOp batch[RefillBatch];
-        for (uint64_t need = count; need;) {
-            size_t want = need < RefillBatch ? size_t(need)
-                                             : RefillBatch;
-            size_t got = workload.nextBlock(batch, want);
-            KILO_ASSERT(got > 0 && got <= want,
-                        "TraceWindow: workload under-ran its own "
-                        "checkpointed span");
-            for (size_t i = 0; i < got; ++i)
-                buf.push_back(batch[i]);
-            need -= got;
-        }
+        Span span;
+        span.base = s.template scalar<uint64_t>();
+        span.count = s.template scalar<uint64_t>();
+        return span;
     }
+
+    /**
+     * Reposition to @p span and return true. Return false, touching
+     * nothing, when span.count > MaxSpan or @p fetch_seq lies outside
+     * [span.base, span.base + span.count]: no live window is either.
+     */
+    [[nodiscard]] bool restoreSpan(const Span &span, uint64_t fetch_seq);
     /** @} */
 
   private:

@@ -56,9 +56,12 @@ class Workload
     /**
      * Advance the stream past the next @p n micro-ops without
      * handing them to the caller. Semantically identical to @p n
-     * next() calls; the default decodes and discards, while seekable
-     * workloads (trace replay) override it to jump whole blocks —
-     * that is the fast-forward primitive of sampled simulation.
+     * next() calls; the default decodes and discards. Seekable
+     * workloads override it: trace replay jumps whole blocks (the
+     * fast-forward primitive of sampled simulation) and the
+     * synthetic generator resumes from its nearest indexed cursor
+     * (what keeps a checkpoint restore, reset + skip, from
+     * regenerating the stream from op 0).
      */
     virtual void
     skip(uint64_t n)

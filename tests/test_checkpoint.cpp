@@ -12,14 +12,19 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "src/ckpt/serial.hh"
 #include "src/sim/session.hh"
 #include "src/sim/sweep_engine.hh"
+#include "src/util/rng.hh"
+#include "src/wload/trace_window.hh"
 
 using namespace kilo;
 using namespace kilo::sim;
@@ -218,6 +223,139 @@ TEST(Checkpoint, RobLargerThanConfiguredRejected)
     small.cp.robSize = 2;
     Session dst(small, "mcf", mem::MemConfig::mem400(), rc);
     EXPECT_THROW(dst.restore(snap), ckpt::CheckpointError);
+}
+
+/** Images restored out of order, as kilodiff's bisect restores them,
+ *  into one Session: each lands on the live state digest and audit
+ *  chain, and stepping to the next boundary records the live audit
+ *  record. The images span several snapshot-index strides, so every
+ *  restore seeks the workload both backwards and forwards. */
+TEST(Checkpoint, RestoreInAnyOrderMatchesLive)
+{
+    struct Case
+    {
+        MachineConfig machine;
+        std::string workload;
+    };
+    for (const Case &c : {Case{MachineConfig::dkip2048(), "mcf"},
+                          Case{MachineConfig::r10_64(), "swim"}}) {
+        RunConfig rc;
+        rc.warmupInsts = 5000;
+        rc.measureInsts = 40000;
+        rc.auditIntervalInsts = 4000;
+        const uint64_t interval = rc.auditIntervalInsts;
+
+        Session live(c.machine, c.workload, mem::MemConfig::mem400(),
+                     rc);
+        live.warmup();
+        std::vector<ckpt::Checkpoint> images;
+        std::vector<uint64_t> digests;
+        while (!live.finished()) {
+            uint64_t committed = live.measuredCommitted();
+            live.runFor((committed / interval + 1) * interval -
+                        committed);
+            images.push_back(live.checkpoint());
+            digests.push_back(live.stateDigest());
+        }
+        const std::vector<obs::AuditRecord> records =
+            live.auditRecords();
+        ASSERT_GE(images.size(), 8u) << c.machine.name;
+        ASSERT_EQ(records.size(), images.size()) << c.machine.name;
+
+        std::vector<size_t> order;
+        for (size_t i = images.size(); i-- > 0;)
+            order.push_back(i);
+        std::vector<size_t> shuffled = order;
+        Rng rng(17);
+        for (size_t i = shuffled.size() - 1; i > 0; --i)
+            std::swap(shuffled[i], shuffled[rng.range(i + 1)]);
+        order.insert(order.end(), shuffled.begin(), shuffled.end());
+
+        Session replay(c.machine, c.workload, mem::MemConfig::mem400(),
+                       rc);
+        for (size_t i : order) {
+            SCOPED_TRACE(c.machine.name + " image " + std::to_string(i));
+            replay.restore(images[i]);
+            ASSERT_EQ(replay.stateDigest(), digests[i]);
+            ASSERT_EQ(replay.auditRolling(), records[i].rolling);
+            if (i + 1 == images.size())
+                continue;
+            replay.runFor((i + 2) * interval -
+                          replay.measuredCommitted());
+            ASSERT_EQ(replay.auditRecords().size(), 1u);
+            const obs::AuditRecord &got = replay.auditRecords()[0];
+            const obs::AuditRecord &want = records[i + 1];
+            EXPECT_EQ(got.insts, want.insts);
+            EXPECT_EQ(got.cycle, want.cycle);
+            EXPECT_EQ(got.state, want.state);
+            EXPECT_EQ(got.rolling, want.rolling);
+        }
+    }
+}
+
+/** A corrupt trace-window position (base, count) in an image is
+ *  rejected with a typed error before any op is regenerated: a base
+ *  flipped far past the fetch point, a count above the bound any
+ *  live window obeys, and a window that ends before the fetch point
+ *  all throw, and fast. */
+TEST(Checkpoint, WindowPositionOutOfRangeRejected)
+{
+    RunConfig rc = shortRun();
+    auto machine = MachineConfig::dkip2048();
+    const std::string workload = "mcf";
+    Session src(machine, workload, mem::MemConfig::mem400(), rc);
+    src.warmup();
+    src.runFor(6000);
+    ckpt::Checkpoint snap = src.checkpoint();
+
+    // Payload layout: machine and workload names, two flags, four
+    // u64 session fields, cycle and last-commit cycle, the core
+    // statistics, then the window (base, count) and the fetch point.
+    ckpt::Sink stats;
+    src.core().stats().save(stats);
+    const size_t at = 8 + machine.name.size() + 8 + workload.size() +
+                      2 + 4 * 8 + 2 * 8 + stats.take().size();
+    auto u64At = [&](const std::vector<uint8_t> &b, size_t off) {
+        uint64_t v;
+        std::memcpy(&v, b.data() + off, sizeof(v));
+        return v;
+    };
+    const uint64_t base = u64At(snap.bytes, at);
+    const uint64_t count = u64At(snap.bytes, at + 8);
+    const uint64_t fetch = u64At(snap.bytes, at + 16);
+    ASSERT_LT(base, fetch);
+    ASSERT_LE(fetch - base, count);
+    ASSERT_GT(base, 5000u);
+
+    struct Patch
+    {
+        const char *what;
+        uint64_t base;
+        uint64_t count;
+    };
+    const Patch patches[] = {
+        {"base + 2^24", base + (uint64_t(1) << 24), count},
+        {"base + 2^40", base + (uint64_t(1) << 40), count},
+        {"count + 2^40", base, count + (uint64_t(1) << 40)},
+        {"count above MaxSpan", fetch - 1,
+         wload::TraceWindow::MaxSpan + 1},
+        {"window ends before fetch", base, fetch - base - 1},
+    };
+    Session dst(machine, workload, mem::MemConfig::mem400(), rc);
+    for (const Patch &p : patches) {
+        ckpt::Checkpoint bad = snap;
+        std::memcpy(bad.bytes.data() + at, &p.base, 8);
+        std::memcpy(bad.bytes.data() + at + 8, &p.count, 8);
+        auto t0 = std::chrono::steady_clock::now();
+        EXPECT_THROW(dst.restore(bad), ckpt::CheckpointError) << p.what;
+        auto ms = std::chrono::duration_cast<std::chrono::milliseconds>(
+                      std::chrono::steady_clock::now() - t0)
+                      .count();
+        EXPECT_LT(ms, 1000) << p.what;
+    }
+    // The untouched image still restores after the rejected ones.
+    dst.restore(snap);
+    EXPECT_EQ(dst.stateDigest(), src.stateDigest());
 }
 
 /** On-disk KILOCKPT round trip is exact. */

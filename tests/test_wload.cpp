@@ -9,6 +9,7 @@
 
 #include <algorithm>
 #include <map>
+#include <string>
 #include <vector>
 
 #include "src/wload/profile.hh"
@@ -299,6 +300,109 @@ TEST_P(EveryBenchmark, FpSuiteUsesFpCompute)
         EXPECT_GT(fp_ops, 100);
     else
         EXPECT_EQ(fp_ops, 0);
+}
+
+namespace
+{
+
+/** The next @p n ops of @p wl, pulled one next() call at a time. */
+std::vector<isa::MicroOp>
+pullOps(Workload &wl, size_t n)
+{
+    std::vector<isa::MicroOp> ops(n);
+    for (auto &op : ops)
+        op = wl.next();
+    return ops;
+}
+
+/** The next 2 x opsPerIteration() ops of @p wl must be @p ref's ops
+ *  from position @p pos on. */
+void
+expectStreamAt(SyntheticWorkload &wl,
+               const std::vector<isa::MicroOp> &ref, uint64_t pos,
+               const std::string &what)
+{
+    size_t n = 2 * size_t(wl.opsPerIteration());
+    ASSERT_LE(pos + n, ref.size()) << what;
+    for (size_t i = 0; i < n; ++i)
+        ASSERT_EQ(wl.next(), ref[pos + i]) << what << ", op " << pos + i;
+}
+
+} // anonymous namespace
+
+/** skip() jumps through the snapshot index; whatever the index holds
+ *  and wherever the stream stands, the ops after the skip are the
+ *  ops a fresh generator pulled one at a time has at that position. */
+TEST_P(EveryBenchmark, SkipMatchesSequentialPull)
+{
+    constexpr uint64_t S = SyntheticWorkload::SnapshotStride;
+    const WorkloadProfile prof = profileByName(GetParam());
+    SyntheticWorkload fresh(prof);
+    const std::vector<isa::MicroOp> ref = pullOps(fresh, 12 * S);
+
+    SyntheticWorkload wl(prof);
+    const uint64_t iter = uint64_t(wl.opsPerIteration());
+    for (uint64_t k : {uint64_t(0), uint64_t(1), S - 1, S, S + 1,
+                       5 * S + 13}) {
+        wl.reset();
+        wl.skip(k);
+        ASSERT_NO_FATAL_FAILURE(expectStreamAt(
+            wl, ref, k, "reset + skip " + std::to_string(k)));
+    }
+
+    // From mid-iteration (ops pending): a short skip that stays within
+    // the pending ops, then one that jumps to an indexed cursor.
+    wl.reset();
+    pullOps(wl, iter / 2 + 1);
+    wl.skip(1);
+    uint64_t pos = iter / 2 + 2;
+    ASSERT_NO_FATAL_FAILURE(
+        expectStreamAt(wl, ref, pos, "mid-iteration skip 1"));
+    pos += 2 * iter;
+    wl.skip(3 * S + 7);
+    pos += 3 * S + 7;
+    ASSERT_NO_FATAL_FAILURE(
+        expectStreamAt(wl, ref, pos, "mid-iteration skip"));
+
+    // Backward: rewind to a position the stream has already passed.
+    wl.reset();
+    wl.skip(2 * S + 5);
+    ASSERT_NO_FATAL_FAILURE(
+        expectStreamAt(wl, ref, 2 * S + 5, "backward seek"));
+
+    // Beyond the last snapshot (the index ends near 5S): jump to it,
+    // generate the rest, and the cursors recorded on the way serve
+    // the next seek.
+    wl.reset();
+    wl.skip(10 * S + 3);
+    ASSERT_NO_FATAL_FAILURE(
+        expectStreamAt(wl, ref, 10 * S + 3, "seek past the index"));
+    wl.reset();
+    wl.skip(9 * S);
+    ASSERT_NO_FATAL_FAILURE(
+        expectStreamAt(wl, ref, 9 * S, "seek into the new entries"));
+
+    if (GetParam() != "mcf")
+        return;
+    // A stream long enough that the full index thins (every other
+    // entry dropped, stride doubled); seeks before, inside and past
+    // the thinned range still land exactly.
+    const uint64_t far = (SyntheticWorkload::SnapshotCapacity + 8) * S;
+    SyntheticWorkload longrun(prof);
+    longrun.skip(far);
+    SyntheticWorkload seq(prof);
+    uint64_t seq_pos = 0;
+    for (uint64_t target : {7 * S + 3, 600 * S + 11, far - 1,
+                            far + 3 * S + 5}) {
+        for (; seq_pos < target; ++seq_pos)
+            seq.next();
+        std::vector<isa::MicroOp> want = pullOps(seq, 2 * iter);
+        seq_pos = target + 2 * iter;
+        longrun.reset();
+        longrun.skip(target);
+        ASSERT_EQ(pullOps(longrun, 2 * iter), want)
+            << "thinned index, seek to " << target;
+    }
 }
 
 namespace
